@@ -165,7 +165,7 @@ let experiment_json (e : experiment) : J.t =
 let to_json () : J.t =
   J.Obj
     [
-      ("schema", J.Str "blockstm-bench/10");
+      ("schema", J.Str "blockstm-bench/11");
       ("mode", J.Str !mode_name);
       ("experiments", J.List (List.rev_map experiment_json !experiments));
     ]

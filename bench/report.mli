@@ -2,10 +2,10 @@
     [blockstm exp]): accumulates every table the experiments print, raw
     per-seed measurement samples with p50/p95/p99 summaries, and bucketed
     distributions (e.g. per-transaction execution times), and renders one
-    JSON document — schema ["blockstm-bench/6"]:
+    JSON document — schema ["blockstm-bench/11"]:
 
     {v
-    { "schema": "blockstm-bench/6",
+    { "schema": "blockstm-bench/11",
       "mode": "quick" | "full",
       "experiments": [
         { "name": "fig3", "description": "...",

@@ -393,18 +393,26 @@ let run_cmd =
       |> List.filter (fun c -> Array.length c > 0)
     in
     let async_flush = store = `Merkle in
-    let exec ~pipeline =
+    let exec mode =
       let chain =
         C.create ~store ~async_flush ~executor ~genesis:g.Synthetic.storage ()
       in
+      let rem = ref chunks in
+      let next () =
+        match !rem with
+        | [] -> None
+        | b :: r ->
+            rem := r;
+            Some b
+      in
       let _, ns =
         Blockstm_stats.Clock.time_ns (fun () ->
-            C.execute_blocks ~pipeline chain chunks)
+            C.execute_stream ~mode chain ~next)
       in
       (chain, ns)
     in
-    let piped, ns_piped = exec ~pipeline:true in
-    let plain, ns_plain = exec ~pipeline:false in
+    let piped, ns_piped = exec `Pipelined in
+    let plain, ns_plain = exec `Per_block in
     List.iter
       (fun c -> Fmt.pr "%a@." C.pp_commit c)
       (C.commits piped);
@@ -765,16 +773,8 @@ let exp_cmd =
             "Block-cut deadline for the $(b,sustained) experiment's \
              mempool builder (default 25).")
   in
-  let speculate =
-    Arg.(
-      value & flag
-      & info [ "speculate" ]
-          ~doc:
-            "Restrict the $(b,sustained) experiment to the speculative \
-             pipeline mode (skip the baselines).")
-  in
   let action ids full json domains lanes_grid mempool_rate block_size
-      block_deadline speculate =
+      block_deadline =
     (match domains with
     | Some l when List.for_all (fun d -> d >= 1) l ->
         Blockstm_bench.Experiments.set_domains_grid l
@@ -789,8 +789,6 @@ let exp_cmd =
     Option.iter Blockstm_bench.Experiments.set_sustained_block_size block_size;
     Option.iter Blockstm_bench.Experiments.set_sustained_deadline_ms
       block_deadline;
-    if speculate then
-      Blockstm_bench.Experiments.set_sustained_speculative_only true;
     let mode =
       if full then Blockstm_bench.Experiments.Full
       else Blockstm_bench.Experiments.Quick
@@ -811,7 +809,7 @@ let exp_cmd =
   let term =
     Term.(
       const action $ ids $ full $ json $ domains $ lanes_grid $ mempool_rate
-      $ block_size $ block_deadline $ speculate)
+      $ block_size $ block_deadline)
   in
   Cmd.v
     (Cmd.info "exp" ~doc:"Regenerate the paper's figures and tables")

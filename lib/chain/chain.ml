@@ -28,7 +28,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   module Seq = Blockstm_baselines.Sequential.Make (L) (V)
   module Store = Blockstm_storage.Memstore.Make (L) (V)
   module Mstore = Blockstm_storage.Merkle.Make (L) (V)
-  module Overlay = Overlay.Make (L) (V)
   module Metrics = Blockstm_obs.Metrics
   module Trace = Blockstm_obs.Trace
 
@@ -281,13 +280,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (* ---------------------------------------------------------------------- *)
 
   (* FIFO queue of jobs (closures) executed by a single persistent domain —
-     the chain-level mirror of the Merkle store's flusher. The pipelined and
-     speculative drivers push every piece of off-critical-path state work
-     here (flat-store delta application and whole-state digests, Merkle
-     staging / commit_staged / root refreshes) instead of paying a fresh
+     the chain-level mirror of the Merkle store's flusher. The pipelined
+     driver pushes its off-critical-path state work here (whole-state
+     digests, Merkle staging and root refreshes) instead of paying a fresh
      [Domain.spawn] per block. Single-threaded by construction: jobs that
      touch the same digest state are serialized by queue order, so the
-     drivers reason about ordering, never about data races. *)
+     driver reasons about ordering, never about data races. *)
   module Dworker = struct
     type t = {
       q : (unit -> unit) Queue.t;
@@ -400,12 +398,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     | `Pipelined
       (** Block [h]'s state-root finalization (flat: the whole-state fold;
           Merkle: the digest-tree refresh) runs on the digest worker while
-          block [h+1] executes. Commits are identical to [`Per_block]. *)
-    | `Speculative
-      (** Block [h+1] {e executes} speculatively against block [h]'s
-          streaming committed prefix (cross-block speculation, requires a
-          rolling-commit Block-STM executor). Commits are identical to
-          [`Per_block]. *) ]
+          block [h+1] executes. Commits are identical to [`Per_block]. *) ]
 
   (** Aggregate statistics of one {!execute_stream} run. *)
   type stream_stats = {
@@ -415,13 +408,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (** Wall time the driver spent inside [next] waiting for block
             material (mempool deadline waits, generator time). Also the
             registry counter ["inter_block_idle_ns"]. *)
-    s_spec_aborts : int;
-        (** [`Speculative] only: validation aborts that happened {e after} a
-            block's base was sealed — executions whose speculative reads did
-            not survive the final revalidation against the sealed
-            predecessor state. Also the counter ["speculation_aborts"]. *)
     s_registry : Metrics.t;
-        (** Live registry: the two counters above plus the
+        (** Live registry: the counter above plus the
             ["mempool_depth"] histogram (one observation per block cut,
             when [queue_depth] is wired). *)
   }
@@ -439,25 +427,16 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       byte-for-byte what a [`Per_block] run over the same blocks yields;
       the test suite checks this across executors and substrates.
 
-      [`Speculative] notes: requires [Block_stm] with [rolling_commit]; the
-      executor's [num_domains] is the stream's total worker budget (one
-      domain speculates on the next block while the rest finish the current
-      one — with [num_domains = 1] speculation degenerates to per-block
-      timing).
-
       [next_specs], called once right after each successful [next], yields
-      the block's access specs — required by the [Lanes] executor
-      ([`Per_block] and [`Pipelined] only; [`Speculative] needs the
-      single-instance rolling commit stream). *)
+      the block's access specs — required by the [Lanes] executor. *)
   let execute_stream ?(mode : stream_mode = `Per_block) ?on_block ?queue_depth
       ?(next_specs : (unit -> L.t Access_spec.t array option) option)
       (t : 'o t) ~(next : unit -> (L.t, V.t, 'o) Txn.t array option) :
       'o block_commit list * stream_stats =
     let reg = Metrics.create ~max_domains:1 () in
     let c_idle = Metrics.counter reg "inter_block_idle_ns" in
-    let c_spec_aborts = Metrics.counter reg "speculation_aborts" in
     let h_depth = Metrics.histogram reg "mempool_depth" in
-    let idle_ns = ref 0 and spec_aborts = ref 0 in
+    let idle_ns = ref 0 in
     let blocks = ref 0 and ntxns = ref 0 in
     let commits = ref [] in
     (* Record a finalized commit of this stream (the chain list was already
@@ -482,19 +461,17 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     in
     let finish_stream () =
       Metrics.add c_idle !idle_ns;
-      Metrics.add c_spec_aborts !spec_aborts;
       ( List.rev !commits,
         {
           s_blocks = !blocks;
           s_txns = !ntxns;
           s_idle_ns = !idle_ns;
-          s_spec_aborts = !spec_aborts;
           s_registry = reg;
         } )
     in
-    (* Deferred-root commit plumbing shared by `Pipelined and `Speculative:
-       resolve the previous block's pending commit (awaiting its root, which
-       overlapped the block just executed) and fold it into the chain. *)
+    (* Deferred-root commit plumbing of `Pipelined: resolve the previous
+       block's pending commit (awaiting its root, which overlapped the block
+       just executed) and fold it into the chain. *)
     let pending : 'o spending option ref = ref None in
     let resolve () =
       match !pending with
@@ -646,177 +623,13 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                   go ()
             in
             go ())
-    | `Speculative ->
-        let cfg =
-          match t.executor with
-          | Block_stm c when c.rolling_commit -> c
-          | Block_stm _ ->
-              invalid_arg
-                "Chain.execute_stream: `Speculative requires rolling_commit"
-          | Sequential | Lanes _ ->
-              invalid_arg
-                "Chain.execute_stream: `Speculative requires a Block_stm \
-                 executor"
-        in
-        let ndom = cfg.Bstm.num_domains in
-        let dw = Dworker.create () in
-        let ov = Overlay.create () in
-        (* Frozen stream-start state: the immutable tier every speculative
-           read bottoms out in. The live store is only touched by the digest
-           worker (and read by nobody) until the stream ends. *)
-        let frozen = Store.copy (state t) in
-        let frozen_read = Store.reader frozen in
-        let spawn_worker inst i =
-          Domain.spawn (fun () -> Bstm.worker_loop ~worker:i inst)
-        in
-        (* Build the next block's speculative instance: reads go overlay →
-           (wait, if the predecessor advertises a write) → frozen base, all
-           stamped with the overlay generation (DESIGN.md §14). *)
-        let make_spec ~pred txns =
-          let epoch0 = Overlay.epoch ov in
-          let v0 = Overlay.version ov in
-          let pending_loc =
-            match pred with
-            | None -> fun _ -> false
-            | Some pinst -> fun loc -> Bstm.pending_location pinst loc
-          in
-          let probe loc =
-            match Overlay.find ov loc with
-            | Some v -> Intf.Hit (Some v)
-            | None ->
-                if pending_loc loc then
-                  Intf.Cold
-                    (fun () ->
-                      match Overlay.wait ov loc ~epoch:epoch0 with
-                      | Some v -> Some v
-                      | None -> frozen_read loc)
-                else Intf.Hit (frozen_read loc)
-          in
-          let storage loc =
-            match probe loc with Intf.Hit v -> v | Intf.Cold f -> f ()
-          in
-          let on_flush batch =
-            Overlay.apply_batch ov batch;
-            match t.state with
-            | S_merkle m ->
-                Dworker.push dw (fun () ->
-                    Array.iter (fun (l, v) -> Mstore.stage m l (Some v)) batch)
-            | S_flat _ -> ()
-          in
-          let config =
-            { cfg with Bstm.cross_block = true; cold_read_suspend = true }
-          in
-          let inst =
-            Bstm.create_instance ~config ~gen:(Overlay.gen ov) ~probe ~storage
-              ~on_flush txns
-          in
-          (inst, v0)
-        in
-        (* Wait out the current block (the driver lends itself as a worker),
-           finalize it, and hand its state maintenance + root to the digest
-           worker. Must run BEFORE the successor's [base_sealed]: FIFO then
-           guarantees root(h) sees none of block h+1's writes. *)
-        let finish_cur (inst, workers, txn_count, pre_aborts) =
-          Bstm.worker_loop inst;
-          List.iter Domain.join workers;
-          let res = Bstm.finalize inst in
-          (match pre_aborts with
-          | None -> ()
-          | Some pre ->
-              let m = res.Bstm.metrics in
-              spec_aborts :=
-                !spec_aborts + (m.Bstm.validation_aborts - pre));
-          let snapshot = res.Bstm.snapshot in
-          (match t.state with
-          | S_flat s ->
-              Dworker.push dw (fun () -> Store.apply_delta s snapshot)
-          | S_merkle m ->
-              (* Staging jobs for every flushed batch are already queued;
-                 commit_staged folds them into the base tier, and the
-                 snapshot re-application is an idempotent completeness
-                 backstop (equal values: digest no-ops). *)
-              Dworker.push dw (fun () -> Mstore.commit_staged m);
-              Dworker.push dw (fun () -> Mstore.apply_delta m snapshot));
-          t.height <- t.height + 1;
-          let p = promise () in
-          (match t.state with
-          | S_flat s ->
-              Dworker.push dw (fun () ->
-                  fulfill p (digest ~hash_loc ~hash_value (Store.to_alist s)))
-          | S_merkle m -> Dworker.push dw (fun () -> fulfill p (Mstore.root m)));
-          resolve ();
-          pending :=
-            Some
-              {
-                sp_height = t.height;
-                sp_txn_count = txn_count;
-                sp_outputs = res.Bstm.outputs;
-                sp_delta_root = digest ~hash_loc ~hash_value snapshot;
-                sp_metrics = Some res.Bstm.metrics;
-                sp_root = p;
-              }
-        in
-        let rec go cur =
-          match fetch () with
-          | None ->
-              (match cur with Some c -> finish_cur c | None -> ());
-              Overlay.seal ov;
-              resolve ();
-              Dworker.stop dw;
-              finish_stream ()
-          | Some txns ->
-              let pred =
-                match cur with Some (i, _, _, _) -> Some i | None -> None
-              in
-              let inst, v0 = make_spec ~pred txns in
-              (* One domain starts speculating right away; the rest of the
-                 budget joins after the promotion below. *)
-              let specd = if ndom >= 2 then [ spawn_worker inst 0 ] else [] in
-              (match cur with Some c -> finish_cur c | None -> ());
-              Overlay.seal ov;
-              (* Promote: the predecessor's stream has fully landed in the
-                 overlay. Sample aborts-so-far first — everything after this
-                 point is a speculation casualty (the seal-time
-                 revalidation), everything before is ordinary intra-block
-                 conflict. *)
-              let pre =
-                match pred with
-                | None -> None
-                | Some _ ->
-                    Some (Bstm.metrics_of inst).Bstm.validation_aborts
-              in
-              Bstm.base_sealed ~changed:(Overlay.version ov <> v0) inst;
-              let extra =
-                List.init
-                  (max 0 (ndom - 1 - List.length specd))
-                  (fun i -> spawn_worker inst (i + 1))
-              in
-              go (Some (inst, specd @ extra, Array.length txns, pre))
-        in
-        go None
 
-  (** Execute a sequence of blocks in order and return their commits, oldest
-      first. With [pipeline] (default [false]), block [h]'s state-root
-      finalization runs on the long-lived digest worker while block [h+1]
-      executes (see {!execute_stream}'s [`Pipelined]) — on the flat
-      substrate that is the whole-state fold, on the Merkle substrate the
-      digest-tree refresh (and, with [async_flush], accumulator staging
-      already overlaps execution). Commits (heights, roots, outputs) are
-      identical either way. *)
-  let execute_blocks ?(pipeline = false) (t : 'o t)
-      (blocks : (L.t, V.t, 'o) Txn.t array list) : 'o block_commit list =
-    let rem = ref blocks in
-    let next () =
-      match !rem with
-      | [] -> None
-      | b :: r ->
-          rem := r;
-          Some b
-    in
-    fst
-      (execute_stream
-         ~mode:(if pipeline then `Pipelined else `Per_block)
-         t ~next)
+  (** Execute a sequence of blocks in order, one {!execute_block} each, and
+      return their commits, oldest first. Overlapping blocks is
+      {!execute_stream}'s job. *)
+  let execute_blocks (t : 'o t) (blocks : (L.t, V.t, 'o) Txn.t array list) :
+      'o block_commit list =
+    List.map (execute_block t) blocks
 
   (** Replica divergence check: do two chains agree on every committed
       root? Returns the height of the first divergence, if any. *)

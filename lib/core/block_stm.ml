@@ -155,17 +155,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             hitting the warmed cache. [false] (the default) pays the fetch
             latency inline inside the VM read. No effect unless [probe] is
             given. *)
-    cross_block : bool;
-        (** Cross-block speculation (DESIGN.md §14): this instance executes
-            block h+1 speculatively while block h's committed prefix is still
-            streaming into its base storage. Storage fall-through reads are
-            recorded as [Read_origin.Storage_gen] descriptors carrying the
-            overlay's per-location generation stamp (requires [gen] at
-            {!create_instance}), the commit sweep is gated shut, and the
-            scheduler starts held so completion stays unobservable — until
-            the driver calls {!base_sealed} once the predecessor's state is
-            final. Requires [rolling_commit]. Default [false]: no behavior
-            change anywhere. *)
     static_specs : bool;
         (** Seed MVMemory ESTIMATE markers from the exact write entries of
             the static access specs (DESIGN.md §15) before the first
@@ -184,9 +173,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             degrade to order barriers (they wait for everything before
             them, and everything after waits for them). Requires [specs];
             incompatible with the optimistic-machinery options
-            ([static_specs], [rolling_commit], [cross_block],
-            [targeted_validation], [suspend_resume], [cold_read_suspend],
-            [delta_ops], [prefill_estimates]). Commits bit-identical state
+            ([static_specs], [rolling_commit], [targeted_validation],
+            [suspend_resume], [cold_read_suspend], [delta_ops],
+            [prefill_estimates]). Commits bit-identical state
             to the optimistic engine. Default [false]. *)
   }
 
@@ -203,7 +192,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       delta_ops = false;
       record_exec_ns = false;
       cold_read_suspend = false;
-      cross_block = false;
       static_specs = false;
       spec_dag = false;
     }
@@ -267,17 +255,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (* Non-blocking storage view. When present, the VM's storage
            fall-through goes through it; a [Cold] answer either pays the
            fetch inline or (cold_read_suspend) suspends the transaction. *)
-    gen : (L.t -> int) option;
-        (* Per-location generation stamps of the cross-block overlay
-           (cross_block mode): sampled BEFORE the storage fall-through value
-           so a concurrent overlay update can only make the recorded stamp
-           stale — failing validation — never let a new value slip through
-           under an old stamp. *)
-    gate : bool Atomic.t;
-        (* Commit gate (cross_block mode): [maybe_commit] is a no-op while
-           the gate is closed, because rolling commits are terminal and must
-           not happen against a base that can still change. Opened by
-           [base_sealed], strictly after the final revalidation demand. *)
     mv : Mv.t;
     sched : Scheduler.t;
     dag : Spec_dag.t option;
@@ -531,7 +508,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     preds
 
   let create_instance ?(config = default_config) ?declared_writes ?trace
-      ?on_commit ?on_flush ?probe ?gen ?specs ?loc_namespace ~storage
+      ?on_commit ?on_flush ?probe ?specs ?loc_namespace ~storage
       (txns : 'o txn array) : 'o instance =
     let n = Array.length txns in
     if config.num_domains < 1 then
@@ -551,15 +528,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
          readers racing the abort window cannot be pinned down by either the
          abort-time or the record-time registry collection. *)
       invalid_arg "Block_stm: targeted_validation requires use_estimates";
-    if config.cross_block && not config.rolling_commit then
-      (* The speculation-safety argument (DESIGN.md §14) leans on the
-         rolling machinery: dirty stamps to invalidate stale commit proofs
-         on the seal-time pullback, and the commit gate below. *)
-      invalid_arg "Block_stm: cross_block requires rolling_commit";
-    if config.cross_block && gen = None then
-      invalid_arg "Block_stm: cross_block requires gen";
-    if gen <> None && not config.cross_block then
-      invalid_arg "Block_stm: gen requires cross_block";
     (match specs with
     | Some sp when Array.length sp <> n ->
         invalid_arg "Block_stm: specs length mismatch"
@@ -575,21 +543,21 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       if specs = None then invalid_arg "Block_stm: spec_dag requires specs";
       if
         config.static_specs || config.prefill_estimates
-        || config.rolling_commit || config.cross_block
-        || config.targeted_validation || config.suspend_resume
-        || config.cold_read_suspend || config.delta_ops
+        || config.rolling_commit || config.targeted_validation
+        || config.suspend_resume || config.cold_read_suspend
+        || config.delta_ops
       then
         invalid_arg
           "Block_stm: spec_dag is incompatible with the optimistic-machinery \
            options (static_specs / prefill_estimates / rolling_commit / \
-           cross_block / targeted_validation / suspend_resume / \
-           cold_read_suspend / delta_ops)";
+           targeted_validation / suspend_resume / cold_read_suspend / \
+           delta_ops)";
       if declared_writes <> None then
         invalid_arg "Block_stm: spec_dag takes specs, not declared_writes"
     end;
     let mv =
       Mv.create ~nshards:config.mv_nshards
-        ~targeted:config.targeted_validation ~storage ?gen ~block_size:n ()
+        ~targeted:config.targeted_validation ~storage ~block_size:n ()
     in
     (if config.prefill_estimates then
        match declared_writes with
@@ -618,8 +586,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       txns;
       storage;
       probe;
-      gen;
-      gate = Atomic.make (not config.cross_block);
       mv;
       dag =
         (if config.spec_dag then
@@ -632,8 +598,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         | _ -> Array.make n false);
       sched =
         Scheduler.create ~rolling:config.rolling_commit
-          ~targeted:config.targeted_validation ~hold:config.cross_block
-          ~block_size:n ();
+          ~targeted:config.targeted_validation ~block_size:n ();
       cfg = config;
       outputs = Array.make n None;
       suspensions = Array.init n (fun _ -> Atomic.make None);
@@ -740,32 +705,20 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     (* Storage fall-through, routed through the non-blocking probe when one
        is wired. A [Cold] miss either suspends the transaction across the
        fetch (cold_read_suspend: the retried probe after resumption hits the
-       warmed cache) or pays the fetch latency inline. Returns the read-set
-       descriptor along with the value: plain [Storage] normally, or the
-       overlay generation stamp in cross_block mode — sampled before the
-       value (and re-sampled on every probe retry), so a concurrent overlay
-       update makes the stamp stale rather than the value unvalidated. *)
-    let origin_of loc =
-      match inst.gen with
-      | None -> Read_origin.Storage
-      | Some g -> Read_origin.Storage_gen (g loc)
-    in
+       warmed cache) or pays the fetch latency inline. *)
     let storage_read loc =
       match inst.probe with
-      | None ->
-          let o = origin_of loc in
-          (o, inst.storage loc)
+      | None -> inst.storage loc
       | Some probe ->
           let rec go () =
-            let o = origin_of loc in
             match probe loc with
-            | Intf.Hit v -> (o, v)
+            | Intf.Hit v -> v
             | Intf.Cold fetch ->
                 if inst.cfg.cold_read_suspend then begin
                   Effect.perform (Cold_read (fun () -> ignore (fetch ())));
                   go ()
                 end
-                else (o, fetch ())
+                else fetch ()
           in
           go ()
     in
@@ -792,8 +745,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                     end
                     else raise (Dependency blocking_txn_idx)
                 | Mv.Not_found ->
-                    let o, v = storage_read loc in
-                    push_read sc (loc, o);
+                    let v = storage_read loc in
+                    push_read sc (loc, Read_origin.Storage);
                     v
                 | Mv.Ok (version, value) ->
                     push_read sc (loc, Read_origin.Mv version);
@@ -861,11 +814,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                 | Mv.Merged { value } -> Some value
                 | Mv.Ok (_, value) -> V.as_counter value
                 | Mv.Not_found -> (
-                    (* The stamp is dropped: delta descriptors (Range /
-                       Counter / Not_counter) re-materialize through the
-                       current base at validation time, so an overlay change
-                       is caught by the value predicate itself. *)
-                    match snd (storage_read loc) with
+                    match storage_read loc with
                     | None -> Some 0 (* absent counts as 0 *)
                     | Some v -> V.as_counter v)
               in
@@ -1321,7 +1270,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       sweep and flush newly committed transactions out of MVMemory. Returns
       the number of transactions committed by this call. *)
   let maybe_commit (inst : 'o instance) : int =
-    if (not inst.cfg.rolling_commit) || not (Atomic.get inst.gate) then 0
+    if not inst.cfg.rolling_commit then 0
     else begin
       let n =
         Scheduler.try_advance_commit inst.sched ~on_commit:(commit_one inst)
@@ -1331,36 +1280,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           ~upto:(Scheduler.committed_prefix inst.sched);
       n
     end
-
-  (* Cross-block speculation driver hooks (DESIGN.md §14). *)
-
-  (** The predecessor block's stream of committed writes has ended and the
-      base storage this instance reads through is final. [changed] (default
-      [true]): whether the base actually changed since the instance was
-      created — when it did, every transaction is pulled back for
-      revalidation (stamping the rolling dirty waves, so commit proofs
-      claimed against the mutable base cannot commit); only then is the
-      commit gate opened and the scheduler's completion hold released. The
-      order matters: a commit that passes the gate necessarily postdates the
-      pullback, so its proof wave reflects the sealed base. *)
-  let base_sealed ?(changed = true) (inst : _ instance) : unit =
-    if not inst.cfg.cross_block then
-      invalid_arg "Block_stm: base_sealed requires cross_block";
-    if changed then Scheduler.demand_revalidation inst.sched ~from_idx:0;
-    Atomic.set inst.gate true;
-    Scheduler.release_hold inst.sched
-
-  (** Whether any transaction of this block has (so far) published a write
-      or delta to [loc] — the successor's cold-read predicate: a location
-      this block never touches can be read from the pre-block base without
-      waiting. A later first write still invalidates such a read through its
-      generation stamp; this is a wait-avoidance heuristic, not a safety
-      condition. Reading at [txn_idx = block_size] sees every entry and
-      registers no reader. *)
-  let pending_location (inst : _ instance) (loc : L.t) : bool =
-    match Mv.read inst.mv loc ~txn_idx:(Array.length inst.txns) with
-    | Mv.Not_found -> false
-    | Mv.Ok _ | Mv.Merged _ | Mv.Read_error _ -> true
 
   let worker_loop ?(worker = 0) (inst : _ instance) : unit =
     let rolling = inst.cfg.rolling_commit in
@@ -1452,9 +1371,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let finalize (inst : 'o instance) : 'o result =
     let n = Array.length inst.txns in
-    if inst.cfg.cross_block && not (Atomic.get inst.gate) then
-      failwith
-        "Block_stm: finalize on a cross_block instance before base_sealed";
     if inst.cfg.targeted_validation then begin
       (* Sync the scheduler-sourced targeted counters into the registry (so
          JSON exports carry them) and sample registry occupancy. [finalize]
@@ -1476,7 +1392,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let prefix = Scheduler.committed_prefix inst.sched in
         if prefix <> n then
           Fmt.failwith
-            "Block_stm: rolling commit stalled at %d/%d transactions" prefix n;
+            "Block_stm: rolling commit stalled at %d/%d transactions (txn %d: \
+             %a)"
+            prefix n prefix Scheduler.pp_commit_evidence
+            (Scheduler.commit_evidence inst.sched prefix);
         Mv.flush_committed ?on_batch:inst.on_flush inst.mv ~upto:n;
         Mv.committed_snapshot inst.mv
       end

@@ -142,16 +142,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
             continuation, with the retried probe hitting the warmed cache.
             [false] (the default) pays the fetch latency inline. No effect
             unless [probe] is given. *)
-    cross_block : bool;
-        (** Cross-block speculation (DESIGN.md §14): the instance executes
-            its block speculatively while the predecessor block's committed
-            prefix is still streaming into the base storage it reads
-            through. Storage fall-through reads record
-            [Read_origin.Storage_gen] stamps from the driver-supplied [gen]
-            function (required at {!create_instance}), rolling commits are
-            gated shut, and the scheduler completion is held — all until the
-            driver calls {!base_sealed}. Requires [rolling_commit]. Default
-            [false]: no behavior change anywhere. *)
     static_specs : bool;
         (** Static access specifications, estimate seeding (DESIGN.md §15):
             seed MVMemory with ESTIMATE markers from each transaction's
@@ -169,9 +159,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
             barriers) and execute each transaction exactly once in DAG
             order. No validation tasks, no aborts, no re-execution.
             Requires [specs]; incompatible with [static_specs],
-            [prefill_estimates], [rolling_commit], [cross_block],
-            [targeted_validation], [suspend_resume], [cold_read_suspend]
-            and [delta_ops]. Default [false]. *)
+            [prefill_estimates], [rolling_commit], [targeted_validation],
+            [suspend_resume], [cold_read_suspend] and [delta_ops]. Default [false]. *)
   }
 
   val default_config : config
@@ -202,18 +191,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     ?on_commit:(int -> 'o txn_output -> unit) ->
     ?on_flush:((L.t * V.t) array -> unit) ->
     ?probe:(L.t, V.t) Intf.storage_nb ->
-    ?gen:(L.t -> int) ->
     ?specs:L.t Access_spec.t array ->
     ?loc_namespace:(L.t -> string) ->
     storage:(L.t, V.t) Intf.storage ->
     'o txn array ->
     'o instance
-  (** [gen] is the cross-block overlay's per-location generation stamp
-      (required by, and only legal with, [config.cross_block]): storage
-      fall-through reads sample it {e before} the value and record it in the
-      read-set, so an overlay update between sampling and the seal-time
-      revalidation shows up as a stale stamp.
-      [declared_writes] is required by [config.prefill_estimates] (one
+  (** [declared_writes] is required by [config.prefill_estimates] (one
       location array per transaction). [trace] enables step-event tracing:
       every worker records into its own ring (the trace must have at least
       [config.num_domains] workers). [on_commit j output] streams each
@@ -288,28 +271,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       committed by this call. The engine's own {!worker_loop} calls this
       every iteration when [rolling_commit] is set; external drivers (the
       virtual-time simulator) may call it between {!step}s. No-op returning
-      0 unless [config.rolling_commit]. Also a no-op (returning 0) while a
-      [cross_block] instance's commit gate is closed — i.e. before
-      {!base_sealed}. *)
-
-  val base_sealed : ?changed:bool -> 'o instance -> unit
-  (** Cross-block speculation (DESIGN.md §14): declare the base storage this
-      instance reads through final. When [changed] (default [true]), first
-      demands revalidation of the whole block — invalidating every commit
-      proof claimed while the base could still move — then opens the commit
-      gate and releases the scheduler's completion hold, letting the
-      still-running workers revalidate, commit and finish. Must be called
-      exactly once per [cross_block] instance, from any domain, before
-      {!finalize} can succeed. Pass [~changed:false] only when the base
-      storage is known byte-identical to its state at instance creation.
-      @raise Invalid_argument unless [config.cross_block]. *)
-
-  val pending_location : 'o instance -> L.t -> bool
-  (** Whether any transaction of this block has so far published a write or
-      delta to the location — the successor block's wait-avoidance
-      predicate: locations this returns [false] for can be served from the
-      pre-block base without waiting for the commit stream (a later first
-      write is still caught by generation-stamp validation). *)
+      0 unless [config.rolling_commit]. *)
 
   (** What a single engine step did — consumed by the virtual-time simulator
       for cost accounting, and by tests. *)

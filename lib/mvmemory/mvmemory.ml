@@ -149,14 +149,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             materialization is sound). [fun _ -> None] when the instance is
             created without [?storage] — fine as long as no delta entries
             are ever published. *)
-    gen : (L.t -> int) option;
-        (** Cross-block speculation (DESIGN.md §14): generation stamp of a
-            storage location. Unlike the paper's pre-block storage, a
-            speculative instance's base storage is the predecessor block's
-            streaming committed-prefix overlay, which {e does} change during
-            execution; [validate_origin] checks a recorded [Storage_gen]
-            descriptor against the current stamp. [None] on paper-path
-            instances (base storage constant, plain [Storage] descriptors). *)
     (* Rolling-commit flush state: [flushed_upto] is the length of the
        committed prefix already folded into the per-cell [base] entries.
        Guarded by [flush_mutex]; read via {!flushed_upto} without it. *)
@@ -171,7 +163,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let fresh_table capacity = Array.init capacity (fun _ -> Atomic.make None)
 
   let create ?(nshards = 64) ?(writes_per_txn = 4) ?(targeted = false)
-      ?(reader_slots = 64) ?(storage = fun _ -> None) ?gen ~block_size () =
+      ?(reader_slots = 64) ?(storage = fun _ -> None) ~block_size () =
     if block_size < 0 then invalid_arg "Mvmemory.create: negative block_size";
     if nshards <= 0 then invalid_arg "Mvmemory.create: nshards must be > 0";
     if writes_per_txn < 0 then
@@ -199,7 +191,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       targeted;
       reader_cap = reader_slots;
       base_storage = storage;
-      gen;
       flush_mutex = Mutex.create ();
       flushed_upto = 0;
     }
@@ -768,16 +759,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         match materialize t loc ~txn_idx with
         | M_other -> true
         | M_int _ | M_blocked -> false)
-    | Storage_gen g -> (
-        (* Cross-block speculation (DESIGN.md §14): valid iff no lower
-           transaction has written the location since AND the base-storage
-           overlay still serves the generation the read observed. The stamp
-           is sampled before the value on the read side, so an unchanged
-           generation certifies an unchanged value. *)
-        match read t loc ~txn_idx with
-        | Not_found -> (
-            match t.gen with Some f -> f loc = g | None -> false)
-        | Ok _ | Merged _ | Read_error _ -> false)
     | Storage | Mv _ -> (
         match (read t loc ~txn_idx, origin) with
         | Read_error _, _ -> false (* previously read something, now ESTIMATE *)

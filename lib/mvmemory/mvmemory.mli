@@ -73,7 +73,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     ?targeted:bool ->
     ?reader_slots:int ->
     ?storage:(L.t -> V.t option) ->
-    ?gen:(L.t -> int) ->
     block_size:int ->
     unit ->
     t
@@ -97,14 +96,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       the block) by any caller that records delta sets; instances that never
       publish delta entries can omit it.
 
-      [gen] (default absent) is the storage generation stamp for cross-block
-      speculation (DESIGN.md §14): when the base storage is a predecessor
-      block's streaming committed-prefix overlay (and therefore mutable
-      during execution), the engine records [Read_origin.Storage_gen]
-      descriptors stamped with [gen loc], and {!validate_origin} compares
-      the recorded stamp against the current one — an overlay mutation bumps
-      the stamp and fails the comparison. Paper-path instances omit it and
-      keep the constant-storage [Storage] descriptor.
       @raise Invalid_argument on negative [block_size] or [writes_per_txn],
       non-positive [nshards], or [reader_slots < 1]. *)
 
@@ -235,10 +226,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       {- [Counter c] (an exact materialized integer was observed):
          re-materialize and require equality with [c];}
       {- [Not_counter] (a delta op observed a non-integer anchor): require
-         the location still to materialize to a non-integer;}
-      {- [Storage_gen g] (cross-block speculation, DESIGN.md §14): require
-         that no lower transaction wrote the location {e and} the instance's
-         [gen] stamp still equals [g].}}
+         the location still to materialize to a non-integer.}}
       The materializing branches never register a reader; the
       [Storage]/[Mv] branches go through {!read}, whose targeted-mode
       registration is an idempotent no-op here (the descriptor being

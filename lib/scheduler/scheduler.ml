@@ -87,14 +87,6 @@ type t = {
   decrease_cnt : int Atomic.t;
   num_active_tasks : int Atomic.t;
   done_marker : bool Atomic.t;
-  (* Cross-block speculation (DESIGN.md §14): while [hold] is set,
-     [check_done] refuses to certify completion. [done_marker] never
-     reverts, so a speculative instance whose predecessor is still streaming
-     commits must not be allowed to observe "done" before the final overlay
-     state has been revalidated; the chain driver calls [release_hold] only
-     after the predecessor block sealed and a last revalidation pass was
-     demanded. *)
-  hold : bool Atomic.t;
   status : txn_state array;
   deps : dep_state array;
   (* Rolling-commit state. [pullback_marker] counts validation pullbacks;
@@ -126,8 +118,7 @@ type t = {
    task claim CASes one of them — and the per-txn dirty/proof/status slots
    are hammered by neighbouring indices, so all of them are padded onto
    their own cache lines (DESIGN.md §9). *)
-let create ?(rolling = false) ?(targeted = false) ?(hold = false) ~block_size
-    () =
+let create ?(rolling = false) ?(targeted = false) ~block_size () =
   if block_size < 0 then invalid_arg "Scheduler.create: negative block_size";
   let padded_atomic = Atomic_util.padded_atomic in
   {
@@ -139,7 +130,6 @@ let create ?(rolling = false) ?(targeted = false) ?(hold = false) ~block_size
     decrease_cnt = padded_atomic 0;
     num_active_tasks = padded_atomic 0;
     done_marker = padded_atomic false;
-    hold = padded_atomic hold;
     status =
       Array.init block_size (fun _ ->
           Atomic_util.pad
@@ -202,14 +192,6 @@ let decrease_validation_idx t ~target_idx =
 (* The wave a validation claimed now would carry. *)
 let current_wave t = Atomic.get t.pullback_marker
 
-(* External revalidation demand (cross-block speculation): the speculative
-   instance's base storage — the predecessor's streaming overlay — changed
-   under it, so every transaction from [from_idx] up must be revalidated.
-   Exactly a validation pullback: the dirty stamp invalidates stale commit
-   proofs and the index pullback reschedules the sweep. *)
-let demand_revalidation t ~from_idx =
-  decrease_validation_idx t ~target_idx:(max 0 from_idx)
-
 (* Targeted counterpart of a validation pullback: stamp exactly the
    transactions whose recorded reads the mutation invalidated, instead of
    pulling [validation_idx] back over the whole suffix. Same ordering
@@ -267,18 +249,9 @@ let check_done t =
   if
     min e v >= t.block_size && pending = 0 && active = 0
     && observed_cnt = cnt_now
-    && not (Atomic.get t.hold)
   then Atomic.set t.done_marker true
 
 let done_ t = Atomic.get t.done_marker
-
-let held t = Atomic.get t.hold
-
-(* Releasing the hold does not set [done_marker] by itself: workers (or the
-   finalization loop) re-run [check_done] on their next empty [next_task]
-   poll, which re-collects the counters and certifies completion only if it
-   genuinely holds. *)
-let release_hold t = Atomic.set t.hold false
 
 (* --- Status helpers ------------------------------------------------------ *)
 
@@ -699,6 +672,32 @@ let targeted_marks t = Atomic.get t.targeted_marks
 let targeted_claims t = Atomic.get t.targeted_claims
 let targeted_fallbacks t = Atomic.get t.targeted_fallbacks
 let suffix_avoided t = Atomic.get t.suffix_avoided
+
+type commit_evidence = {
+  ev_incarnation : int;
+  ev_kind : status_kind;
+  ev_proof : int * int;
+  ev_dirty : int;
+  ev_wave : int;
+}
+
+(* Everything [sweep_commits] consults for transaction [idx], read without
+   the commit mutex: each field is read on its own, so a racing worker can
+   make the record inconsistent — it is a diagnostic, not a commit test. *)
+let commit_evidence t idx =
+  let ev_incarnation, ev_kind = status t idx in
+  {
+    ev_incarnation;
+    ev_kind;
+    ev_proof = Atomic.get t.proof.(idx);
+    ev_dirty = Atomic.get t.dirty.(idx);
+    ev_wave = current_wave t;
+  }
+
+let pp_commit_evidence ppf e =
+  Fmt.pf ppf "%a incarnation %d, proof (%d, %d), dirty %d, wave %d"
+    pp_status_kind e.ev_kind e.ev_incarnation (fst e.ev_proof)
+    (snd e.ev_proof) e.ev_dirty e.ev_wave
 
 let dependents t idx =
   let d = t.deps.(idx) in

@@ -57,15 +57,8 @@ type t
     unless {!try_advance_commit} will be used. [targeted] (default [false])
     allocates the needs-revalidation dirty bitmap drained by {!next_task}
     and enables {!finish_execution_targeted} and the [?invalidated]
-    parameter of {!finish_validation} (DESIGN.md §10). [hold] (default
-    [false]) starts the scheduler in the held state of cross-block
-    speculation (DESIGN.md §14): the internal [check_done] refuses to
-    certify completion — and therefore {!done_} stays [false] — until
-    {!release_hold}. Since the done marker never reverts, this is what
-    keeps a speculative block's completion unobservable while its
-    predecessor may still mutate the shared base storage. *)
-val create :
-  ?rolling:bool -> ?targeted:bool -> ?hold:bool -> block_size:int -> unit -> t
+    parameter of {!finish_validation} (DESIGN.md §10). *)
+val create : ?rolling:bool -> ?targeted:bool -> block_size:int -> unit -> t
 
 val block_size : t -> int
 
@@ -149,24 +142,6 @@ val finish_validation :
     counter sweeps past the block. Once [true], it never reverts. *)
 val done_ : t -> bool
 
-val held : t -> bool
-(** Whether the completion hold (created with [~hold:true]) is still in
-    place. *)
-
-val release_hold : t -> unit
-(** Lift the completion hold: the next [check_done] collection may certify
-    completion. Does not set {!done_} by itself — workers re-poll. Call
-    after the base storage is final and a last {!demand_revalidation} has
-    been issued for anything it changed. *)
-
-val demand_revalidation : t -> from_idx:int -> unit
-(** External revalidation demand (cross-block speculation, DESIGN.md §14):
-    the instance's base storage changed under it, so every transaction at
-    index [>= from_idx] must be revalidated before it may commit. Performs a
-    validation pullback — stamps the rolling dirty waves (invalidating stale
-    commit proofs) and lowers the validation index. Safe to call from any
-    domain at any time. *)
-
 (** Claim a transaction for execution: READY_TO_EXECUTE -> EXECUTING.
     Exposed for the engine's task handoff; most callers want
     {!next_task}. No effect on the active-task count. *)
@@ -225,3 +200,25 @@ val suffix_avoided : t -> int
 
 val dependents : t -> int -> int list
 (** Transactions currently parked on the given transaction. *)
+
+(** What the rolling-commit rule consults for one transaction. *)
+type commit_evidence = {
+  ev_incarnation : int;  (** Current incarnation. *)
+  ev_kind : status_kind;  (** Current status. *)
+  ev_proof : int * int;
+      (** Commit proof: (incarnation, claim wave) of the last successful
+          validation; [(-1, -1)] when there is none. *)
+  ev_dirty : int;
+      (** Dirty stamp: wave of the last pullback targeting an index at or
+          below this transaction. *)
+  ev_wave : int;  (** The scheduler's current pullback marker. *)
+}
+
+val commit_evidence : t -> int -> commit_evidence
+(** Read-only snapshot of a transaction's commit evidence — the state dump
+    of a stalled commit sweep. Once every lower transaction has committed,
+    the transaction commits when it is [Executed],
+    [fst ev_proof = ev_incarnation] and [snd ev_proof >= ev_dirty]. Fields
+    are read one at a time, without the commit mutex. *)
+
+val pp_commit_evidence : Format.formatter -> commit_evidence -> unit

@@ -14,7 +14,7 @@ let config ?(num_domains = 1) ?(use_estimates = true)
     ?(suspend_resume = false) ?(rolling_commit = false) ?(mv_nshards = 64)
     ?(targeted_validation = false) ?(delta_ops = false)
     ?(record_exec_ns = false) ?(cold_read_suspend = false)
-    ?(cross_block = false) ?(static_specs = false) ?(spec_dag = false) () =
+    ?(static_specs = false) ?(spec_dag = false) () =
   {
     Bstm.num_domains;
     use_estimates;
@@ -27,7 +27,6 @@ let config ?(num_domains = 1) ?(use_estimates = true)
     delta_ops;
     record_exec_ns;
     cold_read_suspend;
-    cross_block;
     static_specs;
     spec_dag;
   }

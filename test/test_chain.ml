@@ -82,7 +82,15 @@ let test_pipelined_roots_identical () =
   let seq = run_chain Chain.Sequential 6 in
   let run_pipelined executor =
     let chain = Chain.create ~executor ~genesis:(genesis ()) () in
-    let commits = Chain.execute_blocks ~pipeline:true chain (blocks_of 6) in
+    let rem = ref (blocks_of 6) in
+    let next () =
+      match !rem with
+      | [] -> None
+      | b :: r ->
+          rem := r;
+          Some b
+    in
+    let commits, _ = Chain.execute_stream ~mode:`Pipelined chain ~next in
     Alcotest.(check int) "six commits returned" 6 (List.length commits);
     chain
   in

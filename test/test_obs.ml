@@ -394,7 +394,7 @@ let test_report_json () =
           close_in ic;
           let j = J.parse_exn s in
           Alcotest.(check (option string))
-            "schema" (Some "blockstm-bench/10")
+            "schema" (Some "blockstm-bench/11")
             (Option.bind (J.member "schema" j) J.to_str);
           let exps =
             Option.get (Option.bind (J.member "experiments" j) J.to_list)

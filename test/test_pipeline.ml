@@ -1,10 +1,9 @@
-(** Tests for the continuous block pipeline (DESIGN.md §14): streamed,
-    pipelined and cross-block speculative execution must produce commits —
-    heights, state roots, delta roots {e and outputs} — byte-identical to a
-    per-block sequential-executor chain, across domain counts, both state
-    substrates and both write disciplines (plain writes and commutative
-    deltas). Plus unit tests for the two new ingestion pieces (mempool,
-    overlay) and the engine's cross-block configuration checks. *)
+(** Tests for the continuous block pipeline (DESIGN.md §14): per-block and
+    pipelined streams must produce commits — heights, state roots, delta
+    roots {e and outputs} — byte-identical to a per-block
+    sequential-executor chain, across domain counts, both state substrates
+    and both write disciplines (plain writes and commutative deltas). Plus
+    unit tests for the mempool that feeds the stream. *)
 
 open Blockstm_kernel
 module W = Blockstm_workload
@@ -12,7 +11,6 @@ module P2p = W.P2p
 module Chain = W.Harness.ChainX
 module CBstm = Chain.Bstm
 module Mempool = Blockstm_chain.Mempool
-module IOverlay = Blockstm_chain.Overlay.Make (Tutil.IntLoc) (Tutil.IntVal)
 
 (* ------------------------------------------------------------------ *)
 (* Stream identity: every mode commits exactly what per-block does    *)
@@ -20,9 +18,8 @@ module IOverlay = Blockstm_chain.Overlay.Make (Tutil.IntLoc) (Tutil.IntVal)
 
 let nblocks = 4
 
-(* Small account pool relative to block size, so consecutive blocks
-   genuinely conflict: speculation has to suspend, revalidate and abort to
-   get this right. *)
+(* Small account pool relative to block size, so every block is contended
+   and consecutive blocks touch the same accounts. *)
 let p2p_blocks () =
   P2p.generate_stream
     { P2p.default_spec with num_accounts = 60; block_size = 120; seed = 9 }
@@ -119,7 +116,7 @@ let grid_sweep ~deltas () =
                      mname sname domains)
                 ~reference:refc ~genesis:(genesis ()) ~blocks:wblocks ~executor
                 ~store ~mode ())
-            [ ("pipelined", `Pipelined); ("speculative", `Speculative) ])
+            [ ("per-block", `Per_block); ("pipelined", `Pipelined) ])
         [ `Flat; `Merkle ])
     [ 1; 2; 4; 8 ]
 
@@ -141,8 +138,8 @@ let test_stream_sequential_pipelined () =
         ~mode:`Pipelined ())
     [ `Flat; `Merkle ]
 
-(* Async-flush Merkle chains now overlap digest work under [~pipeline] (the
-   old implementation silently fell back to the per-block path). *)
+(* Async-flush Merkle chains overlap digest work in the pipelined stream
+   too: engine flushes stage into the digest worker during execution. *)
 let test_merkle_async_flush_pipelined () =
   let blocks = List.map (fun w -> w.P2p.txns) (p2p_blocks ()) in
   let genesis = (List.hd (p2p_blocks ())).P2p.storage in
@@ -154,29 +151,18 @@ let test_merkle_async_flush_pipelined () =
   let chain =
     Chain.create ~executor ~store:`Merkle ~async_flush:true ~genesis ()
   in
-  let commits = Chain.execute_blocks ~pipeline:true chain blocks in
+  let commits, _ =
+    Chain.execute_stream ~mode:`Pipelined chain ~next:(next_of blocks)
+  in
   Alcotest.(check int) "commit count" nblocks (List.length commits);
   Alcotest.(check (option int))
     "async-flush merkle pipelined" None
     (Chain.first_divergence refc chain)
 
-let test_speculative_requires_rolling () =
-  let genesis = (List.hd (p2p_blocks ())).P2p.storage in
-  let chain =
-    Chain.create
-      ~executor:(Chain.Block_stm { CBstm.default_config with num_domains = 2 })
-      ~genesis ()
-  in
-  Alcotest.check_raises "lazy commit rejected"
-    (Invalid_argument
-       "Chain.execute_stream: `Speculative requires rolling_commit")
-    (fun () ->
-      ignore (Chain.execute_stream ~mode:`Speculative chain ~next:(fun () -> None)))
-
 (* Mempool-fed end-to-end: a producer domain submits the whole stream; the
-   speculative driver cuts fixed-size blocks; commits must match the
+   pipelined driver cuts fixed-size blocks; commits must match the
    reference chain over the same block boundaries. *)
-let test_mempool_driven_speculative () =
+let test_mempool_driven_pipelined () =
   let ws = p2p_blocks () in
   let blocks = List.map (fun w -> w.P2p.txns) ws in
   let genesis = (List.hd ws).P2p.storage in
@@ -208,13 +194,13 @@ let test_mempool_driven_speculative () =
     | b -> Some b
   in
   let _, stats =
-    Chain.execute_stream ~mode:`Speculative
+    Chain.execute_stream ~mode:`Pipelined
       ~queue_depth:(fun () -> Mempool.depth mp)
       chain ~next
   in
   Domain.join producer;
   Alcotest.(check (option int))
-    "mempool-fed speculative" None
+    "mempool-fed pipelined" None
     (Chain.first_divergence refc chain);
   Alcotest.(check int) "all txns committed" (nblocks * block_size) stats.s_txns;
   Alcotest.(check int)
@@ -279,103 +265,6 @@ let test_mempool_close_drains () =
     "then stream end" [||]
     (Mempool.next_block mp ~max_txns:10 ~deadline_ns:(60 * sec))
 
-(* ------------------------------------------------------------------ *)
-(* Overlay unit tests                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let test_overlay_generations () =
-  let ov = IOverlay.create () in
-  Alcotest.(check int) "absent gen" 0 (IOverlay.gen ov 7);
-  Alcotest.(check (option int)) "absent find" None (IOverlay.find ov 7);
-  IOverlay.apply_batch ov [| (7, 10) |];
-  Alcotest.(check int) "first publish" 1 (IOverlay.gen ov 7);
-  Alcotest.(check (option int)) "value" (Some 10) (IOverlay.find ov 7);
-  let v = IOverlay.version ov in
-  IOverlay.apply_batch ov [| (7, 10) |];
-  Alcotest.(check int) "equal value keeps gen" 1 (IOverlay.gen ov 7);
-  Alcotest.(check int) "equal value keeps version" v (IOverlay.version ov);
-  IOverlay.apply_batch ov [| (7, 11) |];
-  Alcotest.(check int) "new value bumps gen" 2 (IOverlay.gen ov 7);
-  Alcotest.(check bool) "new value bumps version" true
-    (IOverlay.version ov > v)
-
-let test_overlay_wait () =
-  let ov = IOverlay.create () in
-  let e0 = IOverlay.epoch ov in
-  (* Waiter released by a publication. *)
-  let w1 = Domain.spawn (fun () -> IOverlay.wait ov 3 ~epoch:e0) in
-  IOverlay.apply_batch ov [| (3, 42) |];
-  Alcotest.(check (option int)) "publication wakes waiter" (Some 42)
-    (Domain.join w1);
-  (* Waiter released by the epoch advancing: advertised write aborted. *)
-  let w2 = Domain.spawn (fun () -> IOverlay.wait ov 4 ~epoch:e0) in
-  IOverlay.seal ov;
-  Alcotest.(check (option int)) "seal releases waiter to base" None
-    (Domain.join w2);
-  (* Already-present location returns immediately, whatever the epoch. *)
-  Alcotest.(check (option int)) "present returns" (Some 42)
-    (IOverlay.wait ov 3 ~epoch:(IOverlay.epoch ov))
-
-(* ------------------------------------------------------------------ *)
-(* Engine cross-block configuration checks                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_engine_cross_block_config () =
-  let open Tutil in
-  let txns = [| incr_txn 0 |] in
-  let raises msg f =
-    Alcotest.(check bool) msg true
-      (try
-         ignore (f ());
-         false
-       with Invalid_argument _ -> true)
-  in
-  raises "cross_block requires rolling_commit" (fun () ->
-      Bstm.create_instance
-        ~config:{ Bstm.default_config with cross_block = true }
-        ~gen:(fun _ -> 0)
-        ~storage:zero_storage txns);
-  raises "cross_block requires gen" (fun () ->
-      Bstm.create_instance
-        ~config:
-          {
-            Bstm.default_config with
-            cross_block = true;
-            rolling_commit = true;
-          }
-        ~storage:zero_storage txns);
-  raises "gen requires cross_block" (fun () ->
-      Bstm.create_instance ~config:Bstm.default_config
-        ~gen:(fun _ -> 0)
-        ~storage:zero_storage txns)
-
-(* A cross-block instance runs gated: nothing commits until [base_sealed]
-   opens the gate, and finalizing a never-sealed instance is a bug. *)
-let test_engine_gate () =
-  let open Tutil in
-  let config =
-    {
-      Bstm.default_config with
-      cross_block = true;
-      rolling_commit = true;
-      num_domains = 1;
-    }
-  in
-  let txns = Array.init 5 (fun _ -> incr_txn 0) in
-  let inst =
-    Bstm.create_instance ~config ~gen:(fun _ -> 0) ~storage:zero_storage txns
-  in
-  Alcotest.(check bool) "finalize before seal rejected" true
-    (try
-       ignore (Bstm.finalize inst);
-       false
-     with Failure _ -> true);
-  Bstm.base_sealed ~changed:false inst;
-  Bstm.worker_loop inst;
-  let res = Bstm.finalize inst in
-  Alcotest.(check (list (pair int int))) "sealed run commits" [ (0, 5) ]
-    res.Bstm.snapshot
-
 let suite =
   [
     Alcotest.test_case "stream identity: p2p, 1/2/4/8 domains, both stores"
@@ -386,18 +275,10 @@ let suite =
       test_stream_sequential_pipelined;
     Alcotest.test_case "async-flush merkle overlaps under pipeline" `Quick
       test_merkle_async_flush_pipelined;
-    Alcotest.test_case "speculative mode requires rolling commit" `Quick
-      test_speculative_requires_rolling;
-    Alcotest.test_case "mempool-fed speculative stream" `Quick
-      test_mempool_driven_speculative;
+    Alcotest.test_case "mempool-fed pipelined stream" `Quick
+      test_mempool_driven_pipelined;
     Alcotest.test_case "mempool: size cut" `Quick test_mempool_size_cut;
     Alcotest.test_case "mempool: deadline cut" `Quick test_mempool_deadline_cut;
     Alcotest.test_case "mempool: backpressure" `Quick test_mempool_backpressure;
     Alcotest.test_case "mempool: close drains" `Quick test_mempool_close_drains;
-    Alcotest.test_case "overlay: generation stamps" `Quick
-      test_overlay_generations;
-    Alcotest.test_case "overlay: wait wakeups" `Quick test_overlay_wait;
-    Alcotest.test_case "engine: cross-block config validation" `Quick
-      test_engine_cross_block_config;
-    Alcotest.test_case "engine: commit gate" `Quick test_engine_gate;
   ]

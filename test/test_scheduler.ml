@@ -376,6 +376,45 @@ let test_rolling_proof_strengthen_only () =
   sweep s commits;
   Alcotest.(check int) "fresh proof survives" 1 (S.committed_prefix s)
 
+(* The stall-dump accessor reports exactly what the sweep consulted: a
+   transaction refused for a stale proof shows a proof wave below its dirty
+   stamp, and one refused for its status shows that status. *)
+let test_rolling_commit_evidence () =
+  let s = S.create ~rolling:true ~block_size:2 () in
+  let ev0 = S.commit_evidence s 0 in
+  Alcotest.(check int) "fresh incarnation" 0 ev0.S.ev_incarnation;
+  Alcotest.(check bool) "fresh status" true (ev0.S.ev_kind = S.Ready_to_execute);
+  Alcotest.(check (pair int int)) "no proof yet" (-1, -1) ev0.S.ev_proof;
+  Alcotest.(check int) "clean" 0 ev0.S.ev_dirty;
+  Alcotest.(check int) "no pullback yet" 0 ev0.S.ev_wave;
+  ignore (S.next_task s);
+  ignore (S.next_task s);
+  ignore
+    (S.finish_execution s ~txn_idx:0 ~incarnation:0 ~wrote_new_location:true);
+  ignore
+    (S.finish_execution s ~txn_idx:1 ~incarnation:0 ~wrote_new_location:true);
+  let v0, w0 = claim_validation s in
+  let v1, w1 = claim_validation s in
+  Alcotest.(check bool) "abort tx0" true (S.try_validation_abort s v0);
+  ignore (S.finish_validation s ~version:v0 ~wave:w0 ~aborted:true);
+  ignore (S.finish_validation s ~version:v1 ~wave:w1 ~aborted:false);
+  let commits = ref [] in
+  sweep s commits;
+  Alcotest.(check int) "sweep refused" 0 (S.committed_prefix s);
+  let ev0 = S.commit_evidence s 0 and ev1 = S.commit_evidence s 1 in
+  Alcotest.(check int) "tx0 re-incarnated" 1 ev0.S.ev_incarnation;
+  Alcotest.(check bool) "tx0 re-executing" true (ev0.S.ev_kind = S.Executing);
+  Alcotest.(check (pair int int)) "tx0 never proved" (-1, -1) ev0.S.ev_proof;
+  Alcotest.(check bool) "tx1 executed" true (ev1.S.ev_kind = S.Executed);
+  Alcotest.(check (pair int int)) "tx1 proof" (0, w1) ev1.S.ev_proof;
+  Alcotest.(check bool) "tx1 proof is stale" true (w1 < ev1.S.ev_dirty);
+  Alcotest.(check bool) "marker covers the stamps" true
+    (ev1.S.ev_dirty <= ev1.S.ev_wave && ev0.S.ev_wave = ev1.S.ev_wave);
+  Alcotest.(check string) "dump"
+    (Fmt.str "EXECUTED incarnation 0, proof (0, %d), dirty %d, wave %d" w1
+       ev1.S.ev_dirty ev1.S.ev_wave)
+    (Fmt.str "%a" S.pp_commit_evidence ev1)
+
 let test_rolling_requires_flag () =
   let s = S.create ~block_size:1 () in
   Alcotest.check_raises "try_advance_commit rejected"
@@ -585,6 +624,8 @@ let suite =
       test_rolling_stale_wave_rejected;
     Alcotest.test_case "rolling: proofs are strengthen-only" `Quick
       test_rolling_proof_strengthen_only;
+    Alcotest.test_case "rolling: commit evidence explains a refused sweep"
+      `Quick test_rolling_commit_evidence;
     Alcotest.test_case "rolling: sweep requires ~rolling:true" `Quick
       test_rolling_requires_flag;
     Alcotest.test_case "targeted: mark claimed exactly once" `Quick

@@ -22,7 +22,9 @@
 #     captures in tools/golden/ exactly;
 #   - commutative deltas (DESIGN.md §12) must beat paper read-modify-write
 #     by >= 2x on the 2-hot-account / 8-thread hotspot-delta row (virtual
-#     time, so deterministic and enforced on any host).
+#     time, so deterministic and enforced on any host);
+#   - the wall-clock benchmark's correctness gate (perfbench/) must catch a
+#     sequential reference built from another seed (its self-test).
 # Usage: tools/ci.sh   (run from the repository root)
 set -eu
 
@@ -204,9 +206,9 @@ echo "ci: state-scale gate passed (incremental ${sspeed}x >= 5x fold at 10^5 acc
 # --- Sustained pipeline smoke -----------------------------------------------
 # The continuous block pipeline (DESIGN.md §14). Two invariants:
 #   - identity is unconditional: every (store, mode, domains) grid point
-#     must report "ok" in the roots column — streamed, pipelined and
-#     speculative execution all commit bit-identically to the per-block
-#     sequential reference. Any MISMATCH fails on any host.
+#     must report "ok" in the roots column — per-block and pipelined
+#     streams both commit bit-identically to the per-block sequential
+#     reference. Any MISMATCH fails on any host.
 #   - throughput is gated like the scaling bench: on >= 4 cores (or with
 #     BLOCKSTM_SUSTAINED_GATE=1) the flat pipelined 4-domain point must not
 #     fall below flat per-block at 4 domains; on single-core hosts the
@@ -214,9 +216,9 @@ echo "ci: state-scale gate passed (incremental ${sspeed}x >= 5x fold at 10^5 acc
 out=$(dune exec bench/main.exe -- sustained)
 printf '%s\n' "$out"
 if printf '%s\n' "$out" \
-  | awk '($1=="flat" || $1=="merkle") && NF>=8 && $8!="ok" {exit 1}'
+  | awk '($1=="flat" || $1=="merkle") && NF>=7 && $7!="ok" {exit 1}'
 then :; else
-  echo "ci: FAIL — sustained reported a commit divergence (see the roots column): pipelined/speculative streams must be bit-identical to per-block"
+  echo "ci: FAIL — sustained reported a commit divergence (see the roots column): per-block and pipelined streams must be bit-identical to the sequential reference"
   exit 1
 fi
 sus_pb=$(printf '%s\n' "$out" \
@@ -318,5 +320,11 @@ if [ "$cores" -ge 8 ] || [ "${BLOCKSTM_LANES_GATE:-0}" = "1" ]; then
 else
   echo "ci: lane perf smoke report-only on $cores core(s): single $lane_single tps, 2 lanes $lane_two tps"
 fi
+
+# --- Benchmark correctness-gate self-test -----------------------------------
+# perfbench/selftest.py runs every workload once against a sequential
+# reference from another seed (every transaction must be reported failed)
+# and once against the matching reference (none may be).
+python3 perfbench/selftest.py
 
 echo "ci: all checks passed"
