@@ -597,8 +597,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             spec_independence ?loc_namespace sp
         | _ -> Array.make n false);
       sched =
-        Scheduler.create ~rolling:config.rolling_commit
-          ~targeted:config.targeted_validation ~block_size:n ();
+        Scheduler.create ~targeted:config.targeted_validation ~block_size:n ();
       cfg = config;
       outputs = Array.make n None;
       suspensions = Array.init n (fun _ -> Atomic.make None);
@@ -1384,10 +1383,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     end;
     let snapshot =
       if inst.cfg.rolling_commit then begin
-        (* Drain the sweep: every transaction is EXECUTED with a final
-           successful validation by the time the scheduler is done, so one
-           blocking pass commits whatever the opportunistic in-loop sweeps
-           left over. The snapshot is then served from the committed base. *)
+        (* Drain the sweep: once the scheduler is done every transaction
+           holds an admissible proof (DESIGN.md §8, liveness), so one
+           blocking pass commits whatever the in-loop sweeps left over. The
+           snapshot is then served from the committed base. *)
         ignore (Scheduler.advance_commit inst.sched ~on_commit:(commit_one inst));
         let prefix = Scheduler.committed_prefix inst.sched in
         if prefix <> n then

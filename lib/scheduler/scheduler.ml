@@ -12,21 +12,19 @@
     Section 3.3.2): both indices at or past the block size, zero active tasks,
     and [decrease_cnt] unchanged across the observation window.
 
-    {b Rolling commit} (created with [~rolling:true]): instead of committing
-    the whole block when [check_done] fires, a monotone [commit_idx] sweeps
-    forward — off the hot path, under a dedicated mutex — committing
-    transaction [j] as soon as a {e completed} validation of [j]'s current
-    incarnation is known to have observed the final state of the prefix.
-    The evidence is a per-transaction {e proof}: the (incarnation, wave)
-    recorded by the last successful validation, where the wave is the value
-    of a global pullback counter captured when the validation task was
-    claimed. A proof is admissible when its wave is at least [dirty.(j)], the
-    wave of the last pullback targeting an index [<= j] — pullbacks stamp
-    [dirty] {e before} publishing the status change that re-enables the
-    mutated transaction, so an admissible proof's reads postdate every
-    mutation of the frozen prefix. Committed is a terminal status:
-    [try_validation_abort] refuses it, freezing the prefix. [check_done]
-    stays as the termination backstop; DESIGN.md §8 has the full argument.
+    {b Rolling commit}: a monotone [commit_idx] sweeps forward under a
+    dedicated mutex, committing transaction [j] once a completed validation
+    of its current incarnation — its {e proof}, (incarnation, wave) — is
+    known to have observed the final prefix. The wave is the global
+    pullback marker read right {e after} the validation task was claimed.
+    Each revalidation demand bumps the marker and stamps one slot — a suffix
+    pullback to [k] stamps [suffix.(k)], a targeted mark stamps each
+    reader's [dirty] — before re-enabling the mutated transaction. [j]'s
+    proof must reach [dirty.(j)] and the maximum of [suffix] over [0..j],
+    which the sweep carries as [commit_wave]. At O(1) per pullback every
+    scheduler keeps this evidence; only callers that sweep commit a prefix.
+    Committed is terminal: [try_validation_abort] refuses it. DESIGN.md §8
+    has the safety and liveness argument.
 
     Deviation from the paper's pseudo-code, documented in DESIGN.md §4:
     [try_incarnate] here is side-effect-free on [num_active_tasks]; each
@@ -80,7 +78,6 @@ type reval = Reval_suffix | Reval_readers of int list
 
 type t = {
   block_size : int;
-  rolling : bool;
   targeted : bool;
   execution_idx : int Atomic.t;
   validation_idx : int Atomic.t;
@@ -89,16 +86,19 @@ type t = {
   done_marker : bool Atomic.t;
   status : txn_state array;
   deps : dep_state array;
-  (* Rolling-commit state. [pullback_marker] counts validation pullbacks;
-     [dirty.(j)] is the marker of the last pullback targeting an index <= j;
+  (* Rolling-commit state. [pullback_marker] counts revalidation demands;
+     [suffix.(k)] is the marker of the last suffix pullback to exactly k;
+     [dirty.(j)] is the marker of the last targeted mark listing j;
      [proof.(j)] is the (incarnation, wave) of the last completed successful
-     validation of transaction j. All are cheap no-ops / dead stores when
-     [rolling] is false. *)
+     validation of transaction j. [commit_wave], written only under
+     [commit_mutex], is the maximum of [suffix] over the committed prefix. *)
   pullback_marker : int Atomic.t;
+  suffix : int Atomic.t array;
   dirty : int Atomic.t array;
   proof : (int * int) Atomic.t array;
   commit_mutex : Mutex.t;
   commit_idx : int Atomic.t;
+  commit_wave : int Atomic.t;
   (* Targeted-revalidation state (all unused when [targeted] is false).
      [val_flag.(k)] is the needs-revalidation dirty bitmap: set by
      [mark_readers], consumed exactly once per set by the targeted claim in
@@ -115,15 +115,14 @@ type t = {
 }
 
 (* The global counters are the most contended words in the system — every
-   task claim CASes one of them — and the per-txn dirty/proof/status slots
+   task claim CASes one of them — and the per-txn stamp/proof/status slots
    are hammered by neighbouring indices, so all of them are padded onto
    their own cache lines (DESIGN.md §9). *)
-let create ?(rolling = false) ?(targeted = false) ~block_size () =
+let create ?(targeted = false) ~block_size () =
   if block_size < 0 then invalid_arg "Scheduler.create: negative block_size";
   let padded_atomic = Atomic_util.padded_atomic in
   {
     block_size;
-    rolling;
     targeted;
     execution_idx = padded_atomic 0;
     validation_idx = padded_atomic 0;
@@ -142,10 +141,12 @@ let create ?(rolling = false) ?(targeted = false) ~block_size () =
       Array.init block_size (fun _ ->
           Atomic_util.pad { dep_mutex = Mutex.create (); dependents = [] });
     pullback_marker = padded_atomic 0;
+    suffix = Array.init block_size (fun _ -> padded_atomic 0);
     dirty = Array.init block_size (fun _ -> padded_atomic 0);
     proof = Array.init block_size (fun _ -> padded_atomic no_proof);
     commit_mutex = Mutex.create ();
     commit_idx = padded_atomic 0;
+    commit_wave = Atomic.make 0;
     val_flag =
       (if targeted then Array.init block_size (fun _ -> padded_atomic false)
        else [||]);
@@ -158,7 +159,6 @@ let create ?(rolling = false) ?(targeted = false) ~block_size () =
   }
 
 let block_size t = t.block_size
-let rolling t = t.rolling
 let targeted t = t.targeted
 
 let require_targeted t fn =
@@ -172,16 +172,17 @@ let decrease_execution_idx t ~target_idx =
   ignore (Atomic_util.fetch_min t.execution_idx target_idx);
   Atomic_util.incr t.decrease_cnt
 
-(* Stamp the pullback into the dirty array: every index >= target_idx may
-   have stale validation proofs from before this pullback's mutation. Must
-   run after the MVMemory mutation it reports and before the status change
-   that re-enables the mutated transaction (see module comment). *)
+(* Stamp a suffix pullback to [target_idx]: every proof at or above it may
+   predate this pullback's mutation. One slot; the commit sweep folds it
+   into [commit_wave] once it passes [target_idx]. Must run after the
+   MVMemory mutation it reports, before the status change that re-enables
+   the mutated transaction, and before the [fetch_min] that re-opens the
+   validation index (so a claim receiving a re-opened index reads a wave
+   covering this stamp). *)
 let mark_dirty t ~target_idx : unit =
-  if t.rolling && target_idx < t.block_size then begin
+  if target_idx < t.block_size then begin
     let marker = 1 + Atomic_util.get_and_incr t.pullback_marker in
-    for k = target_idx to t.block_size - 1 do
-      ignore (Atomic_util.fetch_max t.dirty.(k) marker)
-    done
+    ignore (Atomic_util.fetch_max t.suffix.(target_idx) marker)
   end
 
 let decrease_validation_idx t ~target_idx =
@@ -203,18 +204,17 @@ let current_wave t = Atomic.get t.pullback_marker
    never certify completion across an in-flight mark (it reads
    [targeted_pending] before [num_active_tasks]). *)
 let mark_readers t ~(readers : int list) : unit =
-  (if t.rolling then
-     match readers with
-     | [] -> ()
-     | _ ->
-         (* One pullback wave per mark; per-index stamps only — readers not
-            in the set keep their (still valid) commit proofs. *)
-         let marker = 1 + Atomic_util.get_and_incr t.pullback_marker in
-         List.iter
-           (fun k ->
-             if k >= 0 && k < t.block_size then
-               ignore (Atomic_util.fetch_max t.dirty.(k) marker))
-           readers);
+  (match readers with
+  | [] -> ()
+  | _ ->
+      (* One pullback wave per mark; per-index stamps only — readers not in
+         the set keep their (still valid) commit proofs. *)
+      let marker = 1 + Atomic_util.get_and_incr t.pullback_marker in
+      List.iter
+        (fun k ->
+          if k >= 0 && k < t.block_size then
+            ignore (Atomic_util.fetch_max t.dirty.(k) marker))
+        readers);
   let marked = ref 0 in
   List.iter
     (fun k ->
@@ -293,17 +293,19 @@ let next_version_to_execute t : Version.t option =
         Atomic_util.decr t.num_active_tasks;
         None)
 
-(* The wave is read before the claim: the validation's reads happen later
-   still, so any pullback bumping the marker after this point only makes the
-   recorded proof conservative, never unsound. *)
+(* The wave is read after the index claim. A pullback bumps the marker
+   before its [fetch_min], so a claim that receives a re-opened index reads
+   a wave covering that pullback; a claim made before the pullback has its
+   index claimed again after it. The validation's reads happen later still,
+   so a pullback after this read only makes the proof conservative. *)
 let next_version_to_validate t : (Version.t * int) option =
   if Atomic.get t.validation_idx >= t.block_size then (
     check_done t;
     None)
   else (
-    let wave = current_wave t in
     Atomic_util.incr t.num_active_tasks;
     let idx_to_validate = Atomic_util.get_and_incr t.validation_idx in
+    let wave = current_wave t in
     let version =
       if idx_to_validate < t.block_size then
         with_status t idx_to_validate (fun s ->
@@ -341,8 +343,8 @@ let next_targeted_validation t : (Version.t * int) option =
         Atomic_util.incr t.num_active_tasks;
         if Atomic.compare_and_set t.val_flag.(k) true false then begin
           Atomic_util.decr t.targeted_pending;
-          (* Wave read after the mark that set this flag (and its rolling
-             dirty stamp): the recorded proof covers that mutation. *)
+          (* Wave read after the mark that set this flag (and its dirty
+             stamp): the recorded proof covers that mutation. *)
           let wave = current_wave t in
           match
             with_status t k (fun s ->
@@ -434,7 +436,7 @@ let resume_dependencies t (dependent_txn_indices : int list) : unit =
    revalidation). *)
 let finish_execution t ~txn_idx ~incarnation ~wrote_new_location : task option
     =
-  (* Dirty-stamp before publishing EXECUTED: a new write location may
+  (* Suffix-stamp before publishing EXECUTED: a new write location may
      invalidate any higher transaction's proof, and unlike the paper's lazy
      commit this must be recorded even when the validation sweep has not yet
      passed this transaction (a stale proof could otherwise be accepted by
@@ -452,7 +454,7 @@ let finish_execution t ~txn_idx ~incarnation ~wrote_new_location : task option
   resume_dependencies t deps;
   if Atomic.get t.validation_idx > txn_idx then
     if wrote_new_location then (
-      (* Schedule validation for txn_idx and everything above it. The dirty
+      (* Schedule validation for txn_idx and everything above it. The suffix
          stamp already happened above, pre-EXECUTED. *)
       ignore (Atomic_util.fetch_min t.validation_idx txn_idx);
       Atomic_util.incr t.decrease_cnt;
@@ -472,7 +474,7 @@ let finish_execution t ~txn_idx ~incarnation ~wrote_new_location : task option
 (* Targeted-mode [finish_execution]: instead of keying the whole-suffix
    pullback off [wrote_new_location], the caller reports the precise
    revalidation demand computed by MVMemory. [Reval_readers] marks exactly
-   those transactions in the dirty bitmap (plus the rolling stamps) and hands
+   those transactions in the dirty bitmap (plus their dirty stamps) and hands
    the transaction's own validation back to the caller; [Reval_suffix]
    (registry overflow) reproduces the paper's pullback to [txn_idx] — the
    degradation path, never unsound. [wrote_new_location] is only used for
@@ -542,15 +544,15 @@ let finish_validation ?invalidated t ~version ~wave ~aborted : task option =
   let txn_idx = Version.txn_idx version in
   if aborted then (
     (* All higher transactions may have read the aborted writes. The
-       pullback (and its dirty stamp) must land before the transaction is
+       pullback (and its suffix stamp) must land before the transaction is
        re-enabled: once READY, the re-execution can be claimed, finished,
        re-validated and committed — and the commit sweep may then read
-       [dirty] for higher transactions, which must already reflect this
-       abort. In targeted mode with a precise invalidated-reader set
-       (collected by the engine BEFORE the writes became ESTIMATEs), only
-       those readers are marked and the validation index stays put; a
-       [Reval_suffix] answer (registry overflow) or no answer falls back to
-       the paper's pullback. *)
+       [suffix.(txn_idx + 1)], which must already reflect this abort. In
+       targeted mode with a precise invalidated-reader set (collected by the
+       engine BEFORE the writes became ESTIMATEs), only those readers are
+       marked and the validation index stays put; a [Reval_suffix] answer
+       (registry overflow) or no answer falls back to the paper's
+       pullback. *)
     (match invalidated with
     | Some (Reval_readers rs) when t.targeted ->
         let v = min (Atomic.get t.validation_idx) t.block_size in
@@ -600,12 +602,20 @@ let finish_validation ?invalidated t ~version ~wave ~aborted : task option =
 
 let committed_prefix t = Atomic.get t.commit_idx
 
+(* The wave j's proof must reach once every i < j is committed: the latest
+   suffix pullback to any index <= j, or targeted mark listing j. *)
+let required_wave t j =
+  max (Atomic.get t.commit_wave)
+    (max (Atomic.get t.suffix.(j)) (Atomic.get t.dirty.(j)))
+
 (* Commit rule for transaction j (under both commit_mutex and j's status
    lock): EXECUTED, with a completed successful validation of the current
-   incarnation whose claim wave is at least dirty.(j). All i < j are already
-   COMMITTED (the sweep is in order), so the state j reads from is frozen;
-   the proof then certifies j's read-set against that frozen state. Setting
-   COMMITTED under the status lock excludes any racing validation abort. *)
+   incarnation whose claim wave reaches [required_wave t j]. All i < j are
+   already COMMITTED (the sweep is in order), so the state j reads from is
+   frozen, and no stamp on [suffix.(i)] for i <= j can still land: only an
+   execution of i or an abort of i - 1 stamps it. The proof then certifies
+   j's read-set against that frozen state. Setting COMMITTED under the
+   status lock excludes any racing validation abort. *)
 let sweep_commits t ~on_commit : int =
   let committed = ref 0 in
   let continue = ref true in
@@ -615,17 +625,19 @@ let sweep_commits t ~on_commit : int =
     else begin
       let ok =
         with_status t j (fun s ->
-            if s.kind = Executed then begin
-              let pi, pw = Atomic.get t.proof.(j) in
-              if pi = s.incarnation && pw >= Atomic.get t.dirty.(j) then begin
-                s.kind <- Committed;
-                true
-              end
-              else false
+            let pi, pw = Atomic.get t.proof.(j) in
+            if
+              s.kind = Executed && pi = s.incarnation
+              && pw >= required_wave t j
+            then begin
+              s.kind <- Committed;
+              true
             end
             else false)
       in
       if ok then begin
+        Atomic.set t.commit_wave
+          (max (Atomic.get t.commit_wave) (Atomic.get t.suffix.(j)));
         on_commit j;
         Atomic.set t.commit_idx (j + 1);
         incr committed
@@ -635,17 +647,12 @@ let sweep_commits t ~on_commit : int =
   done;
   !committed
 
-let require_rolling t fn =
-  if not t.rolling then
-    invalid_arg (Printf.sprintf "Scheduler.%s: created without ~rolling:true" fn)
-
 (** Opportunistic commit sweep: advances [commit_idx] as far as the commit
     rule allows, calling [on_commit j] for each newly committed transaction
     in preset order (while holding the commit mutex, so hooks are totally
     ordered). Non-blocking: returns 0 immediately when another thread holds
     the commit mutex. Returns the number of transactions committed. *)
 let try_advance_commit t ~on_commit : int =
-  require_rolling t "try_advance_commit";
   if Mutex.try_lock t.commit_mutex then begin
     let n = sweep_commits t ~on_commit in
     Mutex.unlock t.commit_mutex;
@@ -655,7 +662,6 @@ let try_advance_commit t ~on_commit : int =
 
 (** Blocking variant of {!try_advance_commit}, for finalization. *)
 let advance_commit t ~on_commit : int =
-  require_rolling t "advance_commit";
   Mutex.lock t.commit_mutex;
   let n = sweep_commits t ~on_commit in
   Mutex.unlock t.commit_mutex;
@@ -677,7 +683,7 @@ type commit_evidence = {
   ev_incarnation : int;
   ev_kind : status_kind;
   ev_proof : int * int;
-  ev_dirty : int;
+  ev_required : int;
   ev_wave : int;
 }
 
@@ -690,14 +696,14 @@ let commit_evidence t idx =
     ev_incarnation;
     ev_kind;
     ev_proof = Atomic.get t.proof.(idx);
-    ev_dirty = Atomic.get t.dirty.(idx);
+    ev_required = required_wave t idx;
     ev_wave = current_wave t;
   }
 
 let pp_commit_evidence ppf e =
-  Fmt.pf ppf "%a incarnation %d, proof (%d, %d), dirty %d, wave %d"
+  Fmt.pf ppf "%a incarnation %d, proof (%d, %d), required %d, wave %d"
     pp_status_kind e.ev_kind e.ev_incarnation (fst e.ev_proof)
-    (snd e.ev_proof) e.ev_dirty e.ev_wave
+    (snd e.ev_proof) e.ev_required e.ev_wave
 
 let dependents t idx =
   let d = t.deps.(idx) in

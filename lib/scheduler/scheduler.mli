@@ -16,10 +16,10 @@
                                                (terminal)
     v}
 
-    The commit sweep (see {!try_advance_commit}) only exists when the
-    scheduler was created with [~rolling:true]; the default scheduler is
-    byte-for-byte the paper's, with the whole block committing at once when
-    {!done_} flips (Lemma 2). *)
+    Every scheduler keeps the commit evidence (O(1) per pullback), but only
+    a caller that runs the commit sweep (see {!try_advance_commit}) commits
+    a prefix; without it the scheduler is the paper's, with the whole block
+    committing at once when {!done_} flips (Lemma 2). *)
 
 open Blockstm_kernel
 
@@ -52,18 +52,13 @@ type t
 
 (** [create ~block_size ()] initializes the scheduler: every transaction is
     [Ready_to_execute] at incarnation 0, both task counters at index 0.
-    [rolling] (default [false]) enables the committed-prefix sweep; it adds
-    an O(block_size) dirty-stamping pass to every pullback, so leave it off
-    unless {!try_advance_commit} will be used. [targeted] (default [false])
-    allocates the needs-revalidation dirty bitmap drained by {!next_task}
-    and enables {!finish_execution_targeted} and the [?invalidated]
-    parameter of {!finish_validation} (DESIGN.md §10). *)
-val create : ?rolling:bool -> ?targeted:bool -> block_size:int -> unit -> t
+    Each pullback stamps O(1) rolling-commit evidence. [targeted] (default
+    [false]) allocates the needs-revalidation dirty bitmap drained by
+    {!next_task} and enables {!finish_execution_targeted} and the
+    [?invalidated] parameter of {!finish_validation} (DESIGN.md §10). *)
+val create : ?targeted:bool -> block_size:int -> unit -> t
 
 val block_size : t -> int
-
-val rolling : t -> bool
-(** Whether this scheduler was created with [~rolling:true]. *)
 
 val targeted : t -> bool
 (** Whether this scheduler was created with [~targeted:true]. *)
@@ -104,7 +99,7 @@ val finish_execution :
 (** Targeted-mode {!finish_execution}: the whole-suffix pullback keyed off
     [wrote_new_location] is replaced by the precise revalidation demand
     [reval]. [Reval_readers] marks exactly those transactions in the dirty
-    bitmap (stamping their rolling-commit dirty waves) and hands this
+    bitmap (stamping their rolling-commit dirty slots) and hands this
     transaction's own validation task back to the caller; [Reval_suffix]
     (registry overflow) reproduces the paper's pullback to [txn_idx].
     [wrote_new_location] only feeds the suffix-validations-avoided metric.
@@ -147,8 +142,7 @@ val done_ : t -> bool
     {!next_task}. No effect on the active-task count. *)
 val try_incarnate : t -> int -> Version.t option
 
-(** {2 Rolling commit} — only valid on schedulers created with
-    [~rolling:true]. *)
+(** {2 Rolling commit} *)
 
 val committed_prefix : t -> int
 (** Length of the committed prefix: transactions [0 .. committed_prefix - 1]
@@ -159,18 +153,16 @@ val try_advance_commit : t -> on_commit:(int -> unit) -> int
 (** Opportunistic commit sweep: advances the committed prefix as far as the
     commit rule allows — transaction [j] commits when it is [Executed] and
     a completed successful validation of its current incarnation carries a
-    wave at least [dirty(j)] (no pullback targeting [<= j] happened after
-    the validation was claimed). Calls [on_commit j] for each newly
-    committed transaction in preset order, while holding the commit mutex
-    (hooks are totally ordered across domains). Non-blocking: returns 0
-    immediately if another domain holds the commit mutex. Returns the
-    number of transactions committed by this call.
-    @raise Invalid_argument if the scheduler is not rolling. *)
+    wave at least {!commit_evidence}'s [ev_required] (no suffix pullback to
+    [<= j] nor targeted mark of [j] followed the claim). Calls [on_commit j]
+    for each newly committed transaction in preset order, while holding the
+    commit mutex (hooks are totally ordered across domains). Non-blocking:
+    returns 0 immediately if another domain holds the commit mutex. Returns
+    the number of transactions committed by this call. *)
 
 val advance_commit : t -> on_commit:(int -> unit) -> int
 (** Blocking variant of {!try_advance_commit}, for finalization: after
-    {!done_} holds, one call commits every remaining transaction.
-    @raise Invalid_argument if the scheduler is not rolling. *)
+    {!done_} holds, one call commits every remaining transaction. *)
 
 (** {2 Introspection} — used by tests, the simulator and metrics. *)
 
@@ -208,9 +200,10 @@ type commit_evidence = {
   ev_proof : int * int;
       (** Commit proof: (incarnation, claim wave) of the last successful
           validation; [(-1, -1)] when there is none. *)
-  ev_dirty : int;
-      (** Dirty stamp: wave of the last pullback targeting an index at or
-          below this transaction. *)
+  ev_required : int;
+      (** Wave the sweep demands of the proof: the maximum suffix stamp over
+          the committed prefix and this transaction, and its targeted-mark
+          stamp (a lower bound beyond the first uncommitted transaction). *)
   ev_wave : int;  (** The scheduler's current pullback marker. *)
 }
 
@@ -218,7 +211,7 @@ val commit_evidence : t -> int -> commit_evidence
 (** Read-only snapshot of a transaction's commit evidence — the state dump
     of a stalled commit sweep. Once every lower transaction has committed,
     the transaction commits when it is [Executed],
-    [fst ev_proof = ev_incarnation] and [snd ev_proof >= ev_dirty]. Fields
-    are read one at a time, without the commit mutex. *)
+    [fst ev_proof = ev_incarnation] and [snd ev_proof >= ev_required].
+    Fields are read one at a time, without the commit mutex. *)
 
 val pp_commit_evidence : Format.formatter -> commit_evidence -> unit

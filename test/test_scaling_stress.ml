@@ -9,7 +9,11 @@
     base leaking to a transaction at or below its writer), even when the
     final values happen to coincide. Descriptors are compared by (location,
     Storage-or-writer-index) — incarnation numbers legitimately vary across
-    domain counts. *)
+    domain counts.
+
+    A last case repeats one contended p2p block under rolling commit on 4
+    and 8 domains, so a commit-sweep stall fails tier-1 rather than a rare
+    CI run. *)
 
 open Blockstm_kernel
 open Tutil
@@ -187,6 +191,50 @@ let test_counter_chain () =
         [ false; true ])
     [ 2; 4; 8 ]
 
+(* The contended p2p block that stalled the rolling-commit sweep before its
+   wave was read after the validation-index claim (60 accounts, 120
+   transfers, seed 9), run repeatedly on more domains than most hosts have
+   cores. Every rolling run, plain and targeted, must complete and commit
+   exactly the sequential snapshot and outputs. *)
+let contended_runs = 75
+
+let test_contended_rolling () =
+  let module W = Blockstm_workload in
+  let module H = W.Harness in
+  let p =
+    W.P2p.generate
+      { W.P2p.default_spec with num_accounts = 60; block_size = 120; seed = 9 }
+  in
+  let seq = H.run_sequential ~storage:p.storage p.txns in
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun targeted ->
+          let config =
+            {
+              H.Bstm.default_config with
+              num_domains = domains;
+              rolling_commit = true;
+              targeted_validation = targeted;
+            }
+          in
+          for run = 1 to contended_runs do
+            let ctx =
+              Printf.sprintf "domains=%d targeted=%b run %d" domains targeted
+                run
+            in
+            match H.run_blockstm ~config ~storage:p.storage p.txns with
+            | exception Failure msg ->
+                Alcotest.failf "%s did not complete: %s" ctx msg
+            | par ->
+                if not (H.equal_snapshot seq.snapshot par.snapshot) then
+                  Alcotest.failf "%s: snapshot differs from sequential" ctx;
+                if not (H.equal_outputs seq.outputs par.outputs) then
+                  Alcotest.failf "%s: outputs differ from sequential" ctx
+          done)
+        [ false; true ])
+    [ 4; 8 ]
+
 let suite =
   [
     Alcotest.test_case "random blocks, lazy commit, 1/2/4/8 domains" `Slow
@@ -203,4 +251,6 @@ let suite =
       (test_sweep ~targeted:true ~rolling:true);
     Alcotest.test_case "contended counter chain across domains" `Slow
       test_counter_chain;
+    Alcotest.test_case "contended p2p, rolling commit never stalls, 4/8 domains"
+      `Slow test_contended_rolling;
   ]

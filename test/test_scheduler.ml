@@ -23,8 +23,8 @@ let task_eq a b =
 (* Expected-value shorthand: the wave is ignored by [task_eq]. *)
 let validation v = S.Validation (v, 0)
 
-(* Complete a validation of [ver t i] on a non-rolling scheduler (where the
-   claim wave is always 0). *)
+(* Complete a validation of [ver t i] at claim wave 0 (the scripted
+   scenarios using it never run the commit sweep). *)
 let fin_val s t i ~aborted =
   S.finish_validation s ~version:(ver t i) ~wave:0 ~aborted
 
@@ -277,7 +277,7 @@ let sweep s commits =
 (* Validations completing out of preset order: the sweep must still commit
    0, 1, 2 in order, and only once each transaction's proof is in. *)
 let test_rolling_commit_preset_order () =
-  let s = S.create ~rolling:true ~block_size:3 () in
+  let s = S.create ~block_size:3 () in
   for _ = 1 to 3 do ignore (S.next_task s) done;
   for i = 0 to 2 do
     ignore
@@ -312,7 +312,7 @@ let test_rolling_commit_preset_order () =
 (* A pullback after a validation was claimed invalidates its proof: the
    commit sweep must refuse the stale wave until a fresh validation lands. *)
 let test_rolling_stale_wave_rejected () =
-  let s = S.create ~rolling:true ~block_size:2 () in
+  let s = S.create ~block_size:2 () in
   ignore (S.next_task s);
   ignore (S.next_task s);
   ignore
@@ -363,7 +363,7 @@ let test_rolling_stale_wave_rejected () =
    sweep would otherwise stall forever — no further validation is ever
    scheduled for the transaction). *)
 let test_rolling_proof_strengthen_only () =
-  let s = S.create ~rolling:true ~block_size:1 () in
+  let s = S.create ~block_size:1 () in
   ignore (S.next_task s);
   ignore
     (S.finish_execution s ~txn_idx:0 ~incarnation:0 ~wrote_new_location:true);
@@ -377,15 +377,15 @@ let test_rolling_proof_strengthen_only () =
   Alcotest.(check int) "fresh proof survives" 1 (S.committed_prefix s)
 
 (* The stall-dump accessor reports exactly what the sweep consulted: a
-   transaction refused for a stale proof shows a proof wave below its dirty
-   stamp, and one refused for its status shows that status. *)
+   transaction refused for a stale proof shows a proof wave below the
+   required wave, and one refused for its status shows that status. *)
 let test_rolling_commit_evidence () =
-  let s = S.create ~rolling:true ~block_size:2 () in
+  let s = S.create ~block_size:2 () in
   let ev0 = S.commit_evidence s 0 in
   Alcotest.(check int) "fresh incarnation" 0 ev0.S.ev_incarnation;
   Alcotest.(check bool) "fresh status" true (ev0.S.ev_kind = S.Ready_to_execute);
   Alcotest.(check (pair int int)) "no proof yet" (-1, -1) ev0.S.ev_proof;
-  Alcotest.(check int) "clean" 0 ev0.S.ev_dirty;
+  Alcotest.(check int) "clean" 0 ev0.S.ev_required;
   Alcotest.(check int) "no pullback yet" 0 ev0.S.ev_wave;
   ignore (S.next_task s);
   ignore (S.next_task s);
@@ -407,25 +407,70 @@ let test_rolling_commit_evidence () =
   Alcotest.(check (pair int int)) "tx0 never proved" (-1, -1) ev0.S.ev_proof;
   Alcotest.(check bool) "tx1 executed" true (ev1.S.ev_kind = S.Executed);
   Alcotest.(check (pair int int)) "tx1 proof" (0, w1) ev1.S.ev_proof;
-  Alcotest.(check bool) "tx1 proof is stale" true (w1 < ev1.S.ev_dirty);
+  Alcotest.(check bool) "tx1 proof is stale" true (w1 < ev1.S.ev_required);
   Alcotest.(check bool) "marker covers the stamps" true
-    (ev1.S.ev_dirty <= ev1.S.ev_wave && ev0.S.ev_wave = ev1.S.ev_wave);
+    (ev1.S.ev_required <= ev1.S.ev_wave && ev0.S.ev_wave = ev1.S.ev_wave);
   Alcotest.(check string) "dump"
-    (Fmt.str "EXECUTED incarnation 0, proof (0, %d), dirty %d, wave %d" w1
-       ev1.S.ev_dirty ev1.S.ev_wave)
+    (Fmt.str "EXECUTED incarnation 0, proof (0, %d), required %d, wave %d" w1
+       ev1.S.ev_required ev1.S.ev_wave)
     (Fmt.str "%a" S.pp_commit_evidence ev1)
 
-let test_rolling_requires_flag () =
-  let s = S.create ~block_size:1 () in
-  Alcotest.check_raises "try_advance_commit rejected"
-    (Invalid_argument
-       "Scheduler.try_advance_commit: created without ~rolling:true")
-    (fun () -> ignore (S.try_advance_commit s ~on_commit:ignore));
-  Alcotest.check_raises "advance_commit rejected"
-    (Invalid_argument
-       "Scheduler.advance_commit: created without ~rolling:true")
-    (fun () -> ignore (S.advance_commit s ~on_commit:ignore));
-  Alcotest.(check bool) "rolling flag off" false (S.rolling s)
+(* A suffix pullback stamps only its target slot; the sweep must carry that
+   stamp past the target as a running wave. tx2's proof predates tx0's
+   abort, whose pullback targets tx1: after tx1 commits, tx2's old proof
+   is refused, and only a claim made after the pullback commits it. *)
+let test_rolling_running_wave () =
+  let s = S.create ~block_size:3 () in
+  for _ = 1 to 3 do
+    ignore (S.next_task s)
+  done;
+  for i = 0 to 2 do
+    ignore
+      (S.finish_execution s ~txn_idx:i ~incarnation:0 ~wrote_new_location:true)
+  done;
+  let v0, w0 = claim_validation s in
+  let v1, w1 = claim_validation s in
+  let v2, w2 = claim_validation s in
+  ignore (S.finish_validation s ~version:v2 ~wave:w2 ~aborted:false);
+  Alcotest.(check bool) "abort tx0" true (S.try_validation_abort s v0);
+  (match S.finish_validation s ~version:v0 ~wave:w0 ~aborted:true with
+  | Some (S.Execution v) -> (
+      match
+        S.finish_execution s ~txn_idx:0
+          ~incarnation:(Blockstm_kernel.Version.incarnation v)
+          ~wrote_new_location:false
+      with
+      | Some (S.Validation (v, w)) ->
+          ignore (S.finish_validation s ~version:v ~wave:w ~aborted:false)
+      | t ->
+          Alcotest.failf "expected validation, got %a" (Fmt.option task_pp) t)
+  | t -> Alcotest.failf "expected re-execution, got %a" (Fmt.option task_pp) t);
+  ignore (S.finish_validation s ~version:v1 ~wave:w1 ~aborted:false);
+  let commits = ref [] in
+  sweep s commits;
+  Alcotest.(check int) "tx1's pre-pullback proof refused" 1
+    (S.committed_prefix s);
+  (* tx2's own slots predate its proof: only the pullback to tx1, once the
+     sweep passes tx1, can refuse it. *)
+  Alcotest.(check bool) "tx2's own stamps are met" true
+    ((S.commit_evidence s 2).S.ev_required <= w2);
+  let v1', w1' = claim_validation s in
+  Alcotest.(check bool) "tx1 re-claimed" true
+    (Blockstm_kernel.Version.equal v1' (ver 1 0));
+  ignore (S.finish_validation s ~version:v1' ~wave:w1' ~aborted:false);
+  sweep s commits;
+  Alcotest.(check int) "tx2's old proof refused after tx1 commits" 2
+    (S.committed_prefix s);
+  Alcotest.(check bool) "running wave demands more" true
+    (w2 < (S.commit_evidence s 2).S.ev_required);
+  let v2', w2' = claim_validation s in
+  Alcotest.(check bool) "tx2 re-claimed" true
+    (Blockstm_kernel.Version.equal v2' (ver 2 0));
+  ignore (S.finish_validation s ~version:v2' ~wave:w2' ~aborted:false);
+  sweep s commits;
+  Alcotest.(check int) "fresh claim commits tx2" 3 (S.committed_prefix s);
+  Alcotest.(check (list int)) "hooks in preset order" [ 0; 1; 2 ]
+    (List.rev !commits)
 
 (* --- Targeted revalidation (DESIGN.md §10) -------------------------------- *)
 
@@ -626,8 +671,8 @@ let suite =
       test_rolling_proof_strengthen_only;
     Alcotest.test_case "rolling: commit evidence explains a refused sweep"
       `Quick test_rolling_commit_evidence;
-    Alcotest.test_case "rolling: sweep requires ~rolling:true" `Quick
-      test_rolling_requires_flag;
+    Alcotest.test_case "rolling: running wave refuses a pre-pullback proof"
+      `Quick test_rolling_running_wave;
     Alcotest.test_case "targeted: mark claimed exactly once" `Quick
       test_targeted_mark_claims_exactly_once;
     Alcotest.test_case "targeted: mark on EXECUTING dropped" `Quick

@@ -3,7 +3,9 @@
 # warning-free, and enforce the perf invariants of the lock-free hot paths:
 #   - Mvmemory.read / find_slot / find_cell / reg_register must not acquire
 #     a mutex (grep gate);
-#   - the cross-domain stress suite passes (covers 1/2/4/8-domain runs);
+#   - the cross-domain stress suite passes (covers 1/2/4/8-domain runs),
+#     also as three concurrent copies for four rounds, so its contended
+#     rolling-commit case must survive 3600 oversubscribed runs unstalled;
 #   - on a multi-core host, the 4-domain scaling point must not fall below
 #     the 1-domain point on the low-contention workload. On single-core
 #     hosts (where real-domain scaling is physically impossible) the bench
@@ -56,6 +58,34 @@ echo "ci: lock-free gate passed (Mvmemory read path takes no mutex)"
 # The scaling_stress suite runs the engine on 1/2/4/8 real domains and
 # checks state, outputs and read-set descriptors against sequential.
 dune exec test/test_main.exe -- test scaling_stress
+
+# --- Rolling-commit stall gate ----------------------------------------------
+# The suite's contended-p2p case runs 300 rolling-commit blocks (plain and
+# targeted, at 4 and 8 domains) and fails on any stall or divergence from
+# sequential. Three copies at once for four rounds make 3600 rolling runs,
+# every one oversubscribed on a host with fewer than 12 cores; any stall
+# fails CI.
+stall_log=$(mktemp -d)
+stall_fail=0
+for round in 1 2 3 4; do
+  pids=""
+  for copy in 1 2 3; do
+    mkdir "$stall_log/out.$round.$copy"
+    ./_build/default/test/test_main.exe test scaling_stress \
+      -o "$stall_log/out.$round.$copy" >"$stall_log/log.$round.$copy" 2>&1 &
+    pids="$pids $!"
+  done
+  for pid in $pids; do
+    wait "$pid" || stall_fail=1
+  done
+done
+if [ "$stall_fail" -ne 0 ]; then
+  grep -rh "FAIL" "$stall_log" | head -20 || true
+  echo "ci: FAIL — scaling_stress failed under 3 concurrent copies (rolling-commit stall or divergence; logs in $stall_log)"
+  exit 1
+fi
+rm -rf "$stall_log"
+echo "ci: rolling-commit stall gate passed (3 copies x 4 rounds of scaling_stress, 3600 contended rolling runs)"
 
 # --- Scaling bench smoke ----------------------------------------------------
 cores=$( (nproc || getconf _NPROCESSORS_ONLN || echo 1) 2>/dev/null | head -n1)
