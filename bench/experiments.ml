@@ -301,9 +301,9 @@ let aborts mode =
 
 (* --- Ablations -------------------------------------------------------------- *)
 
-let ablation_row ~label ~config ?declared_writes ~threads w block =
+let ablation_row ~label ~config ?specs ~threads w block =
   let result, stats =
-    Harness.sim_blockstm ~config ?declared_writes ~num_threads:threads
+    Harness.sim_blockstm ~config ?specs ~num_threads:threads
       ~storage:w.P2p.storage w.P2p.txns
   in
   let m = result.metrics in
@@ -323,6 +323,8 @@ let ablations _mode =
       (p2p_spec ~flavor:P2p.Standard ~accounts:100 ~block ~seed:42)
   in
   let base = Harness.Bstm.default_config in
+  let opt o = { base with sched = Optimistic o } in
+  let paper = Harness.Bstm.paper in
   let t =
     T.create
       ~title:
@@ -334,19 +336,27 @@ let ablations _mode =
   T.add_row t (ablation_row ~label:"baseline" ~config:base ~threads w block);
   T.add_row t
     (ablation_row ~label:"no ESTIMATE markers (remove on abort)"
-       ~config:{ base with use_estimates = false }
+       ~config:(opt { paper with estimates = Remove_on_abort })
        ~threads w block);
   T.add_row t
     (ablation_row ~label:"no read-set pre-check before re-execution"
-       ~config:{ base with prevalidate_reads = false }
+       ~config:(opt { paper with prevalidate_reads = false })
        ~threads w block);
+  (* The exact write entries of a p2p spec are the transfer's declared
+     write-set: seeding from them is the paper's §7 pre-estimation. *)
   T.add_row t
     (ablation_row ~label:"write-set pre-estimation (declared writes)"
-       ~config:{ base with prefill_estimates = true }
-       ~declared_writes:w.declared_writes ~threads w block);
+       ~config:
+         (opt
+            {
+              paper with
+              estimates =
+                Estimates { revalidate = Suffix; seed_from_specs = true };
+            })
+       ~specs:(P2p.txn_specs w) ~threads w block);
   T.add_row t
     (ablation_row ~label:"suspend-resume (effect handlers, §7)"
-       ~config:{ base with suspend_resume = true }
+       ~config:(opt { paper with suspend_resume = true })
        ~threads w block);
   Report.emit_table t
 
@@ -853,9 +863,9 @@ let commit_latency mode =
           in
           let config =
             {
-              Harness.Bstm.default_config with
-              num_domains = domains;
-              rolling_commit = true;
+              Harness.Bstm.num_domains = domains;
+              record_exec_ns = false;
+              sched = Optimistic { Harness.Bstm.paper with commit = Rolling };
             }
           in
           let r, ns =
@@ -919,7 +929,20 @@ let validation_cost mode =
       List.iter
         (fun (mlabel, targeted) ->
           let config =
-            { Harness.Bstm.default_config with targeted_validation = targeted }
+            {
+              Harness.Bstm.default_config with
+              sched =
+                Optimistic
+                  {
+                    Harness.Bstm.paper with
+                    estimates =
+                      Estimates
+                        {
+                          revalidate = (if targeted then Targeted else Suffix);
+                          seed_from_specs = false;
+                        };
+                  };
+            }
           in
           let n = reps mode in
           let validations = ref 0
@@ -1021,7 +1044,12 @@ let hotspot_delta mode =
                       h_seed = seed;
                     }
                 in
-                let config = { Harness.Bstm.default_config with delta_ops } in
+                let config =
+                  {
+                    Harness.Bstm.default_config with
+                    sched = Optimistic { Harness.Bstm.paper with delta_ops };
+                  }
+                in
                 let result, stats =
                   Harness.sim_blockstm ~config ~num_threads:threads
                     ~storage:w.h_storage w.h_txns
@@ -1308,9 +1336,9 @@ let state_scale mode =
           ~executor:
             (C.Block_stm
                {
-                 C.Bstm.default_config with
                  num_domains = domains;
-                 rolling_commit = true;
+                 record_exec_ns = false;
+                 sched = Optimistic { C.Bstm.paper with commit = Rolling };
                })
           ~genesis:w1.storage ()
       in
@@ -1467,9 +1495,10 @@ let sustained mode =
               let executor =
                 C.Block_stm
                   {
-                    Harness.Bstm.default_config with
                     num_domains = domains;
-                    rolling_commit = true;
+                    record_exec_ns = false;
+                    sched =
+                      Optimistic { Harness.Bstm.paper with commit = Rolling };
                   }
               in
               let chain =
@@ -1591,9 +1620,9 @@ let sustained mode =
       let executor =
         C.Block_stm
           {
-            Harness.Bstm.default_config with
             num_domains = domains;
-            rolling_commit = true;
+            record_exec_ns = false;
+            sched = Optimistic { Harness.Bstm.paper with commit = Rolling };
           }
       in
       let chain = C.create ~executor ~genesis () in
@@ -1662,12 +1691,22 @@ let spec_cost_rows t ~workload ~block ~accounts ~threads ~storage ~txns ~specs
   let opt_r, opt_s = Harness.sim_blockstm ~num_threads:threads ~storage txns in
   let seed_r, seed_s =
     Harness.sim_blockstm
-      ~config:{ base with static_specs = true }
+      ~config:
+        {
+          base with
+          sched =
+            Optimistic
+              {
+                Harness.Bstm.paper with
+                estimates =
+                  Estimates { revalidate = Suffix; seed_from_specs = true };
+              };
+        }
       ~specs ~num_threads:threads ~storage txns
   in
   let dag_r, dag_s =
     Harness.sim_blockstm
-      ~config:{ base with spec_dag = true }
+      ~config:{ base with sched = Spec_dag }
       ~specs ~num_threads:threads ~storage txns
   in
   if not (Harness.equal_snapshot opt_r.snapshot dag_r.snapshot) then

@@ -374,6 +374,68 @@ let run_cmd =
              uniform draw. Independent of $(b,--lanes) — hint without \
              lanes shows the single instance on a partitionable block.")
   in
+  (* The engine config the run flags select. Flag combinations the config
+     type cannot express are usage errors, reported here at the edge. *)
+  let config_of_flags ~domains ~suspend ~no_estimates ~rolling ~targeted
+      ~deltas ~cold ~use_specs ~sched : (Harness.Bstm.config, string) result =
+    match sched with
+    | `Spec_dag -> (
+        let optimistic_only =
+          [
+            (suspend, "--suspend-resume");
+            (no_estimates, "--no-estimates");
+            (rolling, "--rolling");
+            (targeted, "--targeted");
+            (deltas, "--deltas");
+            (cold, "--cold-read-ns");
+          ]
+        in
+        match List.find_opt fst optimistic_only with
+        | Some (_, flag) ->
+            Error
+              (flag
+             ^ " configures the optimistic scheduler; --sched spec-dag has \
+                no validation, aborts or re-execution to configure")
+        | None ->
+            Ok
+              {
+                Harness.Bstm.default_config with
+                num_domains = domains;
+                sched = Spec_dag;
+              })
+    | `Optimistic ->
+        let estimates =
+          if not no_estimates then
+            Ok
+              (Harness.Bstm.Estimates
+                 {
+                   revalidate = (if targeted then Targeted else Suffix);
+                   seed_from_specs = use_specs;
+                 })
+          else if targeted then
+            Error "--targeted needs ESTIMATE markers; drop --no-estimates"
+          else if use_specs then
+            Error "--specs seeds ESTIMATE markers; drop --no-estimates"
+          else Ok Harness.Bstm.Remove_on_abort
+        in
+        Result.map
+          (fun estimates ->
+            {
+              Harness.Bstm.default_config with
+              num_domains = domains;
+              sched =
+                Optimistic
+                  {
+                    Harness.Bstm.paper with
+                    estimates;
+                    suspend_resume = suspend;
+                    cold_read_suspend = cold;
+                    commit = (if rolling then Rolling else Lazy);
+                    delta_ops = deltas;
+                  };
+            })
+          estimates
+  in
   let run_pipeline g config executor store n_blocks n =
     let module C = Harness.ChainX in
     let executor =
@@ -438,6 +500,16 @@ let run_cmd =
       Fmt.epr "--lane-hint needs a p2p flavor workload@.";
       exit 2
     end;
+    let config =
+      match
+        config_of_flags ~domains ~suspend ~no_estimates ~rolling ~targeted
+          ~deltas ~cold:(cold_ns > 0) ~use_specs ~sched
+      with
+      | Ok c -> c
+      | Error msg ->
+          Fmt.epr "%s@." msg;
+          exit 2
+    in
     let g, declared, wspecs =
       build_workload
         ~lanes_hint:(max 1 lane_hint)
@@ -485,20 +557,6 @@ let run_cmd =
               "--specs / --sched spec-dag need a spec-capable workload \
                (p2p, p2p-simplified, p2p-hotspot)@.";
             exit 2
-    in
-    let config =
-      {
-        Harness.Bstm.default_config with
-        num_domains = domains;
-        suspend_resume = suspend;
-        use_estimates = not no_estimates;
-        rolling_commit = rolling;
-        targeted_validation = targeted;
-        delta_ops = deltas;
-        cold_read_suspend = cold_ns > 0;
-        static_specs = use_specs && not spec_dag;
-        spec_dag;
-      }
     in
     if pipeline then run_pipeline g config executor store blocks n
     else begin
@@ -675,8 +733,13 @@ let sim_cmd =
         let config =
           {
             Harness.Bstm.default_config with
-            suspend_resume = suspend;
-            delta_ops = deltas;
+            sched =
+              Optimistic
+                {
+                  Harness.Bstm.paper with
+                  suspend_resume = suspend;
+                  delta_ops = deltas;
+                };
           }
         in
         let result, stats =

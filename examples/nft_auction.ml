@@ -28,7 +28,11 @@ let run_auction () =
           ~args:[ Value.Addr house; Value.Addr bidder; Value.Int bid ])
   in
   let config =
-    { Runtime.Bstm.default_config with num_domains = 4; suspend_resume = true }
+    {
+      Runtime.Bstm.default_config with
+      num_domains = 4;
+      sched = Optimistic { Runtime.Bstm.paper with suspend_resume = true };
+    }
   in
   let par =
     Runtime.Bstm.run ~config ~storage:(Runtime.Store.reader store) txns

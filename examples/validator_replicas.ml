@@ -52,7 +52,8 @@ let () =
                {
                  Chain.Bstm.default_config with
                  num_domains = 4;
-                 suspend_resume = true;
+                 sched =
+                   Optimistic { Chain.Bstm.paper with suspend_resume = true };
                })
           ~genesis () );
     ]

@@ -99,7 +99,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       {!Mstore.default_buckets}). [async_flush] (Merkle only) stages
       committed writes into the digest from a flusher domain fed by the
       engine's committed-prefix stream — effective when the executor is
-      Block-STM with [rolling_commit]; otherwise the delta is folded
+      Block-STM with [Rolling] commit; otherwise the delta is folded
       synchronously after the block, same roots either way.
 
       [retain_outputs] bounds chain history: only the newest N commits keep
@@ -187,7 +187,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         in
         t.commits <- go 0 t.commits
 
-  let run_executor ?declared_writes ?specs (t : 'o t)
+  let run_executor ?specs (t : 'o t)
       (txns : (L.t, V.t, 'o) Txn.t array) =
     match t.executor with
     | Sequential ->
@@ -226,7 +226,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         )
     | Block_stm config -> (
         match t.state with
-        | S_merkle m when t.async_flush && config.rolling_commit ->
+        | S_merkle m when t.async_flush && Bstm.is_rolling config ->
             (* Digest maintenance overlaps tail execution: the engine's
                committed-prefix flushes stream (in commit order) into a
                flusher domain that stages them into the Merkle accumulators
@@ -236,7 +236,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                is done. *)
             let fl = Mstore.start_flusher m in
             let r =
-              Bstm.run ~config ?declared_writes
+              Bstm.run ~config
                 ~on_flush:(fun batch -> Mstore.flusher_push fl batch)
                 ~storage:(Mstore.reader m) txns
             in
@@ -244,19 +244,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             Mstore.commit_staged m;
             (r.snapshot, r.outputs, Some r.metrics)
         | _ ->
-            let r =
-              Bstm.run ~config ?declared_writes ~storage:(storage_reader t)
-                txns
-            in
+            let r = Bstm.run ~config ~storage:(storage_reader t) txns in
             (r.snapshot, r.outputs, Some r.metrics))
 
   (** Execute and commit one block. Returns the commit record; the chain
       state advances to the block's post-state. *)
-  let execute_block ?declared_writes ?specs (t : 'o t)
-      (txns : (L.t, V.t, 'o) Txn.t array) : 'o block_commit =
-    let snapshot, outputs, metrics =
-      run_executor ?declared_writes ?specs t txns
-    in
+  let execute_block ?specs (t : 'o t) (txns : (L.t, V.t, 'o) Txn.t array) :
+      'o block_commit =
+    let snapshot, outputs, metrics = run_executor ?specs t txns in
     apply_state_delta t snapshot;
     t.height <- t.height + 1;
     let commit =
@@ -560,7 +555,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                   let snapshot, outputs, metrics =
                     match t.executor with
                     | Block_stm config
-                      when t.async_flush && config.rolling_commit ->
+                      when t.async_flush && Bstm.is_rolling config ->
                         let r =
                           Bstm.run ~config
                             ~on_flush:(fun batch ->

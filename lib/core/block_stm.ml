@@ -14,7 +14,7 @@
 
 open Blockstm_kernel
 module Scheduler = Blockstm_scheduler.Scheduler
-module Spec_dag = Blockstm_scheduler.Spec_dag
+module Dag = Blockstm_scheduler.Spec_dag
 module Metrics = Blockstm_obs.Metrics
 module Trace = Blockstm_obs.Trace
 
@@ -39,44 +39,21 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let pp_txn_output = Txn.pp_output
 
-  (** Execution statistics, aggregated across all domains. *)
   type metrics = {
-    incarnations : int;  (** VM executions that ran to completion. *)
-    dependency_aborts : int;  (** Executions stopped by an ESTIMATE read. *)
-    validations : int;  (** Validation tasks performed. *)
-    validation_aborts : int;  (** Validations that failed and won the abort. *)
+    incarnations : int;
+    dependency_aborts : int;
+    validations : int;
+    validation_aborts : int;
     prevalidation_skips : int;
-        (** Re-executions short-circuited by the read-set pre-check (§4). *)
     resumptions : int;
-        (** Incarnations that resumed a suspended predecessor mid-transaction
-            (suspend_resume mode). *)
     discarded_suspensions : int;
-        (** Suspensions whose read prefix no longer validated and were
-            discarded (suspend_resume mode). *)
     commits : int;
-        (** Transactions committed by the rolling sweep (0 when
-            [rolling_commit] is off: the block commits lazily as a whole). *)
     targeted_validations : int;
-        (** Validation tasks drained from the targeted needs-revalidation
-            queue (0 unless [targeted_validation]). *)
     suffix_validations_avoided : int;
-        (** Validation tasks the paper's suffix pullbacks would have
-            scheduled beyond what targeted marking did (0 unless
-            [targeted_validation]). *)
     value_prune_hits : int;
-        (** Writes pruned as value-equal republications (0 unless
-            [targeted_validation]). *)
     delta_applies : int;
-        (** Commutative delta entries recorded by committed-to-MVMemory
-            incarnations (0 unless [delta_ops]). *)
     cold_reads : int;
-        (** Executions suspended on a cold storage probe (0 unless
-            [cold_read_suspend] with a cold-capable probe). *)
     spec_skips : int;
-        (** Validation tasks short-circuited because the transaction's
-            static access spec is disjoint from every other transaction's
-            (0 unless [specs] were given; DESIGN.md §15). Not counted in
-            [validations]. *)
   }
 
   let pp_metrics ppf m =
@@ -89,124 +66,49 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       m.targeted_validations m.suffix_validations_avoided m.value_prune_hits
       m.delta_applies m.cold_reads m.spec_skips
 
-  type config = {
-    num_domains : int;  (** Worker domains (>= 1). *)
-    use_estimates : bool;
-        (** Paper default [true]: aborted writes become ESTIMATE markers and
-            readers wait for the dependency. [false] is the ablation the
-            paper mentions in §3.2.1 — aborted entries are simply removed, so
-            conflicts surface only at validation time. *)
+  type estimates =
+    | Remove_on_abort
+    | Estimates of { revalidate : revalidate; seed_from_specs : bool }
+
+  and revalidate = Suffix | Targeted
+
+  type commit = Lazy | Rolling
+
+  type optimistic = {
+    estimates : estimates;
     prevalidate_reads : bool;
-        (** §4 optimization: before re-executing an incarnation, re-read the
-            previous read-set and park on any ESTIMATE found. *)
-    prefill_estimates : bool;
-        (** §7 future-work feature: seed MVMemory with ESTIMATE markers from
-            declared write-sets so even first incarnations wait on likely
-            conflicts. Requires [declared_writes]. *)
     suspend_resume : bool;
-        (** §7 future-work feature (the Diem VM lacked it, see §4): when a
-            read hits an ESTIMATE, capture the transaction's continuation
-            with an OCaml effect handler instead of discarding the work.
-            The scheduler protocol is unchanged (the incarnation still
-            aborts and a new one is created); when the next incarnation
-            starts, the prefix of reads performed before the suspension is
-            re-validated — exactly the optimization §7 suggests — and on
-            success execution resumes mid-transaction. *)
-    rolling_commit : bool;
-        (** Stream a committed prefix instead of the paper's lazy
-            block-at-once commit (Lemma 2): workers opportunistically
-            advance the scheduler's commit sweep, committed entries are
-            flushed out of MVMemory into a committed-base table, and
-            [on_commit] hooks fire per transaction in preset order. Default
-            [false]: paper-faithful behavior, byte-identical results. *)
-    mv_nshards : int;
-        (** Hash shards in the MVMemory location index (default 64). Exposed
-            so bench can sweep the sharding factor. *)
-    targeted_validation : bool;
-        (** §7 future-work optimization (DESIGN.md §10): replace the paper's
-            whole-suffix revalidation with targeted revalidation — MVMemory
-            tracks per-location reader registries and prunes value-equal
-            republications, and the scheduler revalidates exactly the
-            invalidated readers through a needs-revalidation queue, keeping
-            the suffix pullback as the registry-overflow backstop. Default
-            [false]: paper-faithful behavior, byte-identical results.
-            Requires [use_estimates]. *)
-    delta_ops : bool;
-        (** Commutative delta entries for hotspot state (DESIGN.md §12):
-            [Txn.effects.delta] publishes bounded add/sub operations as
-            MVMemory delta entries validated by {e range} instead of value
-            equality, so concurrent increments to one location no longer
-            abort each other. [false] (the default) routes
-            [Txn.effects.delta] through the instrumented read/write pair
-            ({!Txn.rmw_delta}), reproducing the paper's behavior
-            byte-identically. *)
-    record_exec_ns : bool;
-        (** Record the wall-clock VM execution time of each transaction's
-            final incarnation in [result.exec_ns] (the vm-cost experiment's
-            per-txn histogram). Default [false]: the hot path takes no
-            timestamps. *)
     cold_read_suspend : bool;
-        (** Storage-layer use of the suspend/resume machinery (DESIGN.md
-            §13): when the non-blocking storage [probe] reports a miss, the
-            transaction suspends through an effect handler (like an ESTIMATE
-            read in suspend_resume mode), the worker runs the fetch, and the
-            execution task is retried immediately — resuming the continuation
-            after re-validating the read prefix, with the retried probe now
-            hitting the warmed cache. [false] (the default) pays the fetch
-            latency inline inside the VM read. No effect unless [probe] is
-            given. *)
-    static_specs : bool;
-        (** Seed MVMemory ESTIMATE markers from the exact write entries of
-            the static access specs (DESIGN.md §15) before the first
-            execution, so first incarnations park on predicted conflicts
-            instead of discovering them by aborting — the spec-driven
-            sibling of [prefill_estimates]. Requires [specs] at
-            {!create_instance} and [use_estimates]; transactions whose
-            write spec contains a wildcard or unknown entry are simply not
-            seeded. Default [false]: no behavior change. *)
-    spec_dag : bool;
-        (** Schedule from the static-spec dependency DAG instead of
-            optimistically (DESIGN.md §15): each transaction executes
-            exactly once, after every lower transaction whose declared
-            writes may feed its declared reads — no validation, no
-            re-execution, BOHM-style. Transactions with non-exact specs
-            degrade to order barriers (they wait for everything before
-            them, and everything after waits for them). Requires [specs];
-            incompatible with the optimistic-machinery options
-            ([static_specs], [rolling_commit], [targeted_validation],
-            [suspend_resume], [cold_read_suspend], [delta_ops],
-            [prefill_estimates]). Commits bit-identical state
-            to the optimistic engine. Default [false]. *)
+    commit : commit;
+    delta_ops : bool;
   }
 
-  let default_config =
+  type sched = Optimistic of optimistic | Spec_dag
+  type config = { num_domains : int; record_exec_ns : bool; sched : sched }
+
+  let paper =
     {
-      num_domains = 1;
-      use_estimates = true;
+      estimates = Estimates { revalidate = Suffix; seed_from_specs = false };
       prevalidate_reads = true;
-      prefill_estimates = false;
       suspend_resume = false;
-      rolling_commit = false;
-      mv_nshards = 64;
-      targeted_validation = false;
-      delta_ops = false;
-      record_exec_ns = false;
       cold_read_suspend = false;
-      static_specs = false;
-      spec_dag = false;
+      commit = Lazy;
+      delta_ops = false;
     }
 
+  let default_config =
+    { num_domains = 1; record_exec_ns = false; sched = Optimistic paper }
+
+  let is_rolling = function
+    | { sched = Optimistic { commit = Rolling; _ }; _ } -> true
+    | _ -> false
+
   type 'o result = {
-    snapshot : (L.t * V.t) list;  (** Final value per affected location. *)
-    outputs : 'o txn_output array;  (** Per-transaction outputs, in order. *)
+    snapshot : (L.t * V.t) list;
+    outputs : 'o txn_output array;
     metrics : metrics;
     commit_ns : int array;
-        (** Per-transaction time-to-commit (ns since the instance was
-            created), in preset order. Empty unless [rolling_commit]. *)
     exec_ns : int array;
-        (** Per-transaction VM execution time (ns) of the final — i.e.
-            committed — incarnation, in preset order. Empty unless
-            [record_exec_ns]. *)
   }
 
   (* ---------------------------------------------------------------------- *)
@@ -257,8 +159,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            fetch inline or (cold_read_suspend) suspends the transaction. *)
     mv : Mv.t;
     sched : Scheduler.t;
-    dag : Spec_dag.t option;
-        (* Spec-derived dependency DAG (spec_dag mode): replaces the
+    dag : Dag.t option;
+        (* Spec-derived dependency DAG ([Spec_dag]): replaces the
            collaborative scheduler as the task source; [sched] still exists
            but issues no tasks (its counters stay at their initial state). *)
     indep : bool array;
@@ -267,7 +169,18 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            validation tasks short-circuit to success ([spec_skips]) and, in
            targeted mode, its reads skip the reader registries. All-false
            unless [specs] were given (DESIGN.md §15). *)
-    cfg : config;
+    domains : int;
+    time_exec : bool;  (* config.record_exec_ns *)
+    (* The optimistic options, resolved from [config.sched] once per
+       instance so each hot-path read is one field load. [Spec_dag] resolves
+       to [paper]: its task source never reaches the paths they steer. *)
+    use_estimates : bool;
+    targeted : bool;
+    rolling : bool;
+    preval : bool;
+    suspend : bool;
+    cold_suspend : bool;
+    deltas : bool;
     outputs : 'o txn_output option array;
         (* Slot [j] is written only by the executor of tx_j's incarnations
            (sequential per Corollary 1) and read after all domains join. *)
@@ -294,10 +207,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            untraced loop takes no timestamps). *)
     h_val_ns : Metrics.histogram;
     h_commit_ns : Metrics.histogram;
-        (* Time-to-commit per transaction (rolling_commit only). *)
+        (* Time-to-commit per transaction (Rolling only). *)
     h_reader_occ : Metrics.histogram;
         (* Per-location reader-registry occupancy, observed in [finalize]
-           (targeted_validation only). *)
+           (Targeted only). *)
     trace : Trace.t option;
     (* Rolling-commit streaming state. [commit_ns.(j)] is written once, by
        whichever domain commits j (under the scheduler's commit mutex), and
@@ -311,7 +224,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            value is the committed incarnation's. *)
     on_commit : (int -> 'o txn_output -> unit) option;
     on_flush : ((L.t * V.t) array -> unit) option;
-        (* Committed-prefix flush sink (rolling_commit only): forwarded to
+        (* Committed-prefix flush sink (Rolling only): forwarded to
            MVMemory's [flush_committed ~on_batch], which delivers batches in
            commit order from inside its flush critical section. *)
   }
@@ -457,7 +370,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                  (Access_spec.exact_locs s.Access_spec.writes)))
       deduped
 
-  (* Dependency edges of the spec DAG (spec_dag mode): transaction j waits
+  (* Dependency edges of the spec DAG ([Spec_dag]): transaction j waits
      for EVERY lower transaction whose write spec contains a location j
      reads — all potential writers, not just the highest, because a sound
      spec may overdeclare: if the highest declared writer dynamically skips
@@ -507,69 +420,42 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     done;
     preds
 
-  let create_instance ?(config = default_config) ?declared_writes ?trace
-      ?on_commit ?on_flush ?probe ?specs ?loc_namespace ~storage
-      (txns : 'o txn array) : 'o instance =
+  let create_instance ?(config = default_config) ?trace ?on_commit ?on_flush
+      ?probe ?specs ?loc_namespace ~storage (txns : 'o txn array) :
+      'o instance =
     let n = Array.length txns in
+    let o = match config.sched with Optimistic o -> o | Spec_dag -> paper in
+    let use_estimates, targeted, seed =
+      match o.estimates with
+      | Remove_on_abort -> (false, false, false)
+      | Estimates { revalidate; seed_from_specs } ->
+          (true, revalidate = Targeted, seed_from_specs)
+    in
+    let rolling = is_rolling config in
     if config.num_domains < 1 then
       invalid_arg "Block_stm: num_domains must be >= 1";
-    if on_commit <> None && not config.rolling_commit then
-      invalid_arg "Block_stm: on_commit requires rolling_commit";
-    if on_flush <> None && not config.rolling_commit then
-      invalid_arg "Block_stm: on_flush requires rolling_commit";
+    if on_commit <> None && not rolling then
+      invalid_arg "Block_stm: on_commit requires Rolling commit";
+    if on_flush <> None && not rolling then
+      invalid_arg "Block_stm: on_flush requires Rolling commit";
     (match trace with
     | Some tr when Trace.num_workers tr < config.num_domains ->
         invalid_arg "Block_stm: trace has fewer workers than num_domains"
     | _ -> ());
-    if config.mv_nshards < 1 then
-      invalid_arg "Block_stm: mv_nshards must be >= 1";
-    if config.targeted_validation && not config.use_estimates then
-      (* Without ESTIMATE markers an aborted write disappears silently, so
-         readers racing the abort window cannot be pinned down by either the
-         abort-time or the record-time registry collection. *)
-      invalid_arg "Block_stm: targeted_validation requires use_estimates";
     (match specs with
     | Some sp when Array.length sp <> n ->
         invalid_arg "Block_stm: specs length mismatch"
     | _ -> ());
-    if config.static_specs && specs = None then
-      invalid_arg "Block_stm: static_specs requires specs";
-    if config.static_specs && not config.use_estimates then
-      invalid_arg "Block_stm: static_specs requires use_estimates";
-    if config.static_specs && config.prefill_estimates then
-      (* Both would seed ESTIMATE markers; pick one source. *)
-      invalid_arg "Block_stm: static_specs conflicts with prefill_estimates";
-    if config.spec_dag then begin
-      if specs = None then invalid_arg "Block_stm: spec_dag requires specs";
-      if
-        config.static_specs || config.prefill_estimates
-        || config.rolling_commit || config.targeted_validation
-        || config.suspend_resume || config.cold_read_suspend
-        || config.delta_ops
-      then
-        invalid_arg
-          "Block_stm: spec_dag is incompatible with the optimistic-machinery \
-           options (static_specs / prefill_estimates / rolling_commit / \
-           targeted_validation / suspend_resume / cold_read_suspend / \
-           delta_ops)";
-      if declared_writes <> None then
-        invalid_arg "Block_stm: spec_dag takes specs, not declared_writes"
-    end;
-    let mv =
-      Mv.create ~nshards:config.mv_nshards
-        ~targeted:config.targeted_validation ~storage ~block_size:n ()
+    let dag =
+      match (config.sched, specs) with
+      | Optimistic _, _ -> None
+      | Spec_dag, Some sp -> Some (Dag.create ~preds:(spec_dag_preds sp))
+      | Spec_dag, None -> invalid_arg "Block_stm: Spec_dag requires specs"
     in
-    (if config.prefill_estimates then
-       match declared_writes with
-       | None ->
-           invalid_arg "Block_stm: prefill_estimates needs declared_writes"
-       | Some dw ->
-           if Array.length dw <> n then
-             invalid_arg "Block_stm: declared_writes length mismatch";
-           Array.iteri (fun j locs -> Mv.prefill_estimates mv j locs) dw);
-    (if config.static_specs then
+    let mv = Mv.create ~targeted ~storage ~block_size:n () in
+    (if seed then
        match specs with
-       | None -> assert false (* checked above *)
+       | None -> invalid_arg "Block_stm: seed_from_specs requires specs"
        | Some sp ->
            Array.iteri
              (fun j s ->
@@ -587,18 +473,21 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       storage;
       probe;
       mv;
-      dag =
-        (if config.spec_dag then
-           Some (Spec_dag.create ~preds:(spec_dag_preds (Option.get specs)))
-         else None);
+      dag;
       indep =
-        (match specs with
-        | Some sp when not config.spec_dag ->
-            spec_independence ?loc_namespace sp
+        (match (specs, dag) with
+        | Some sp, None -> spec_independence ?loc_namespace sp
         | _ -> Array.make n false);
-      sched =
-        Scheduler.create ~targeted:config.targeted_validation ~block_size:n ();
-      cfg = config;
+      sched = Scheduler.create ~targeted ~block_size:n ();
+      domains = config.num_domains;
+      time_exec = config.record_exec_ns;
+      use_estimates;
+      targeted;
+      rolling;
+      preval = o.prevalidate_reads;
+      suspend = o.suspend_resume;
+      cold_suspend = o.cold_read_suspend;
+      deltas = o.delta_ops;
       outputs = Array.make n None;
       suspensions = Array.init n (fun _ -> Atomic.make None);
       obs;
@@ -613,7 +502,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       h_reader_occ = Metrics.histogram obs "reader_registry_occupancy";
       trace;
       t0_ns = Trace.now_ns ();
-      commit_ns = (if config.rolling_commit then Array.make n (-1) else [||]);
+      commit_ns = (if rolling then Array.make n (-1) else [||]);
       exec_ns = (if config.record_exec_ns then Array.make n 0 else [||]);
       on_commit;
       on_flush;
@@ -692,7 +581,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
        what they read, so they can never need revalidation. *)
     let register = not inst.indep.(txn_idx) in
     let sc =
-      if inst.cfg.suspend_resume then fresh_scratch ()
+      if inst.suspend then fresh_scratch ()
       else Domain.DLS.get scratch_key
     in
     sc.r_len <- 0;
@@ -713,7 +602,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
             match probe loc with
             | Intf.Hit v -> v
             | Intf.Cold fetch ->
-                if inst.cfg.cold_read_suspend then begin
+                if inst.cold_suspend then begin
                   Effect.perform (Cold_read (fun () -> ignore (fetch ())));
                   go ()
                 end
@@ -737,7 +626,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               let rec attempt () =
                 match Mv.read ~register inst.mv loc ~txn_idx with
                 | Mv.Read_error { blocking_txn_idx } ->
-                    if inst.cfg.suspend_resume then begin
+                    if inst.suspend then begin
                       (* Suspend here; when resumed, retry this same read. *)
                       Effect.perform (Blocked_read blocking_txn_idx);
                       attempt ()
@@ -805,7 +694,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               let rec ext () =
                 match Mv.read ~register inst.mv loc ~txn_idx with
                 | Mv.Read_error { blocking_txn_idx } ->
-                    if inst.cfg.suspend_resume then begin
+                    if inst.suspend then begin
                       Effect.perform (Blocked_read blocking_txn_idx);
                       ext ()
                     end
@@ -833,7 +722,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                       push_read sc (loc, Read_origin.Counter b);
                       Txn.Bounds_violation)))
     in
-    let delta = if inst.cfg.delta_ops then delta_on else delta_off in
+    let delta = if inst.deltas then delta_on else delta_off in
     let finish vm_output ~keep_writes =
       let vm_read_set = Array.sub sc.r_buf 0 sc.r_len in
       let vm_write_set =
@@ -1030,11 +919,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            mid-execution, resume its continuation provided the read prefix
            still validates; otherwise discard it and start over. *)
         let stashed =
-          if inst.cfg.suspend_resume || inst.cfg.cold_read_suspend then
+          if inst.suspend || inst.cold_suspend then
             Atomic.exchange inst.suspensions.(txn_idx) None
           else None
         in
-        let t0 = if inst.cfg.record_exec_ns then Trace.now_ns () else 0 in
+        let t0 = if inst.time_exec then Trace.now_ns () else 0 in
         let outcome, prefix_paid =
           match stashed with
           | Some s when prefix_valid inst ~txn_idx s.s_prefix ->
@@ -1052,7 +941,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           | None ->
               let blocked =
                 if
-                  inst.cfg.prevalidate_reads && incarnation > 0
+                  inst.preval && incarnation > 0
                   && not inst.indep.(txn_idx)
                 then (
                   match find_read_set_dependency inst ~txn_idx with
@@ -1069,7 +958,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
                 | None -> vm_execute inst ~txn_idx),
                 0 )
         in
-        (if inst.cfg.record_exec_ns then
+        (if inst.time_exec then
            match outcome with
            | Vm_done _ -> inst.exec_ns.(txn_idx) <- Trace.now_ns () - t0
            | Vm_blocked _ | Vm_cold _ -> ());
@@ -1119,9 +1008,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
               ignore
                 (Mv.record ~deltas:vm.vm_delta_set inst.mv version
                    vm.vm_read_set vm.vm_write_set);
-              Spec_dag.finish_execution dag ~txn_idx
+              Dag.finish_execution dag ~txn_idx
           | None ->
-          if inst.cfg.targeted_validation then begin
+          if inst.targeted then begin
             let o =
               Mv.record_targeted ~deltas:vm.vm_delta_set inst.mv version
                 vm.vm_read_set vm.vm_write_set
@@ -1183,7 +1072,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
            become ESTIMATEs — readers that slip past this collection either
            hit the ESTIMATEs or are caught by the re-execution's record. *)
         let invalidated =
-          if aborted && inst.cfg.targeted_validation then
+          if aborted && inst.targeted then
             Some
               (match Mv.invalidated_readers inst.mv ~txn_idx with
               | Mv.Suffix -> Scheduler.Reval_suffix
@@ -1192,7 +1081,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         in
         if aborted then (
           bump stats stat_val_aborts;
-          if inst.cfg.use_estimates then
+          if inst.use_estimates then
             Mv.convert_writes_to_estimates inst.mv txn_idx
           else Mv.remove_written_entries inst.mv txn_idx);
         let next =
@@ -1202,17 +1091,17 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         (next, Validated { version; aborted; reads })
 
   (** Fetch the next task from whichever source drives this instance: the
-      spec DAG in [spec_dag] mode, the collaborative scheduler otherwise. *)
+      spec DAG under [Spec_dag], the collaborative scheduler otherwise. *)
   let next_task (inst : _ instance) : Scheduler.task option =
     match inst.dag with
-    | Some dag -> Spec_dag.next_task dag
+    | Some dag -> Dag.next_task dag
     | None -> Scheduler.next_task inst.sched
 
   (** Whether every transaction has finished under this instance's task
       source (see {!next_task}). Monotone. *)
   let is_done (inst : _ instance) : bool =
     match inst.dag with
-    | Some dag -> Spec_dag.done_ dag
+    | Some dag -> Dag.done_ dag
     | None -> Scheduler.done_ inst.sched
 
   let step_s (inst : _ instance) (stats : local_stats)
@@ -1269,7 +1158,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       sweep and flush newly committed transactions out of MVMemory. Returns
       the number of transactions committed by this call. *)
   let maybe_commit (inst : 'o instance) : int =
-    if not inst.cfg.rolling_commit then 0
+    if not inst.rolling then 0
     else begin
       let n =
         Scheduler.try_advance_commit inst.sched ~on_commit:(commit_one inst)
@@ -1281,7 +1170,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     end
 
   let worker_loop ?(worker = 0) (inst : _ instance) : unit =
-    let rolling = inst.cfg.rolling_commit in
+    let rolling = inst.rolling in
     let stats = fresh_stats () in
     (* Idle backoff: a worker that found no task pauses exponentially longer
        ([Domain.cpu_relax]) instead of hammering the scheduler counters,
@@ -1370,7 +1259,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let finalize (inst : 'o instance) : 'o result =
     let n = Array.length inst.txns in
-    if inst.cfg.targeted_validation then begin
+    if inst.targeted then begin
       (* Sync the scheduler-sourced targeted counters into the registry (so
          JSON exports carry them) and sample registry occupancy. [finalize]
          runs once per instance, after the workers joined. *)
@@ -1382,7 +1271,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
           Metrics.observe inst.h_reader_occ used)
     end;
     let snapshot =
-      if inst.cfg.rolling_commit then begin
+      if inst.rolling then begin
         (* Drain the sweep: once the scheduler is done every transaction
            holds an admissible proof (DESIGN.md §8, liveness), so one
            blocking pass commits whatever the in-loop sweeps left over. The
@@ -1401,7 +1290,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       else
         (* Lazy block-at-once commit: the paper's final snapshot, computed
            in parallel over the affected locations (§4.1). *)
-        Mv.snapshot_parallel ~num_domains:inst.cfg.num_domains inst.mv
+        Mv.snapshot_parallel ~num_domains:inst.domains inst.mv
     in
     {
       snapshot;
@@ -1420,12 +1309,11 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   (** Execute a block. [storage] is the pre-block state; [txns] the block in
       its preset serialization order. Spawns [config.num_domains - 1] extra
       domains and participates with the calling domain. *)
-  let run ?(config = default_config) ?declared_writes ?specs ?loc_namespace
-      ?trace ?on_commit ?on_flush ?probe ~storage (txns : 'o txn array) :
-      'o result =
+  let run ?(config = default_config) ?specs ?loc_namespace ?trace ?on_commit
+      ?on_flush ?probe ~storage (txns : 'o txn array) : 'o result =
     let inst =
-      create_instance ~config ?declared_writes ?specs ?loc_namespace ?trace
-        ?on_commit ?on_flush ?probe ~storage txns
+      create_instance ~config ?specs ?loc_namespace ?trace ?on_commit
+        ?on_flush ?probe ~storage txns
     in
     if Array.length txns = 0 then
       {

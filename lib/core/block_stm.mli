@@ -54,17 +54,17 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
             discarded (suspend_resume mode). *)
     commits : int;
         (** Transactions committed by the rolling sweep (0 when
-            [rolling_commit] is off: the block commits lazily as a whole). *)
+            commit is [Lazy]: the block commits as a whole). *)
     targeted_validations : int;
         (** Validation tasks drained from the targeted needs-revalidation
-            queue (0 unless [targeted_validation]). *)
+            queue (0 unless [Targeted]). *)
     suffix_validations_avoided : int;
         (** Validation tasks the paper's suffix pullbacks would have
             scheduled beyond what targeted marking did (0 unless
-            [targeted_validation]). *)
+            [Targeted]). *)
     value_prune_hits : int;
         (** Writes pruned as value-equal republications (0 unless
-            [targeted_validation]). *)
+            [Targeted]). *)
     delta_applies : int;
         (** Commutative delta entries recorded into MVMemory (0 unless
             [delta_ops]). *)
@@ -80,92 +80,119 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val pp_metrics : Format.formatter -> metrics -> unit
 
-  type config = {
-    num_domains : int;  (** Worker domains (>= 1). *)
-    use_estimates : bool;
-        (** Paper default [true]: aborted writes become ESTIMATE markers and
-            readers wait for the dependency. [false] is the ablation the
-            paper mentions in §3.2.1 — aborted entries are simply removed, so
-            conflicts surface only at validation time. *)
+  (** How an aborted incarnation's writes are handled, and what follows from
+      the ESTIMATE markers when they are kept. *)
+  type estimates =
+    | Remove_on_abort
+        (** The ablation the paper mentions in §3.2.1: aborted entries are
+            simply removed, so conflicts surface only at validation time.
+            Targeted revalidation and spec seeding both need the markers, so
+            they have no place here. *)
+    | Estimates of {
+        revalidate : revalidate;
+        seed_from_specs : bool;
+            (** §7 write-set pre-estimation (DESIGN.md §15): before the first
+                incarnation runs, seed an ESTIMATE marker at every
+                [Access_spec.Exact] write of each transaction's static spec,
+                so first executions park on predicted conflicts instead of
+                discovering them by aborting. Transactions whose write spec
+                has a wildcard or unknown entry are not seeded. Requires
+                [specs] at {!create_instance}. *)
+      }
+        (** The paper's default: aborted writes become ESTIMATE markers and
+            readers wait for the dependency. *)
+
+  (** Which transactions revalidate after a validation abort or a
+      re-execution that writes a new location. *)
+  and revalidate =
+    | Suffix
+        (** The paper's scheme: pull the validation index back to the
+            transaction, revalidating the whole suffix. *)
+    | Targeted
+        (** §7 targeted revalidation (DESIGN.md §10): MVMemory tracks
+            per-location reader registries, value-equal republications are
+            pruned, and only the precisely invalidated readers are
+            revalidated. Registry overflow degrades to the suffix pullback,
+            never to unsoundness. *)
+
+  (** When transactions commit. *)
+  type commit =
+    | Lazy
+        (** The paper's block-at-once commit (Lemma 2): the snapshot is
+            computed once every worker is done. *)
+    | Rolling
+        (** Stream a committed prefix: workers opportunistically advance the
+            scheduler's commit sweep as they loop, committed transactions
+            are flushed out of MVMemory into a committed-base table, and
+            [on_commit] / [on_flush] fire in preset order. The final
+            snapshot and outputs are identical to [Lazy]. *)
+
+  (** The options of the optimistic (execute-then-validate) scheduler. *)
+  type optimistic = {
+    estimates : estimates;
     prevalidate_reads : bool;
         (** §4 optimization: before re-executing an incarnation, re-read the
             previous read-set and park on any ESTIMATE found. *)
-    prefill_estimates : bool;
-        (** §7 future-work feature: seed MVMemory with ESTIMATE markers from
-            declared write-sets so even first incarnations wait on likely
-            conflicts. Requires [declared_writes]. *)
     suspend_resume : bool;
-        (** §7 future-work feature: when a read hits an ESTIMATE, capture the
-            transaction's continuation with an OCaml effect handler instead
-            of discarding the work; the next incarnation re-validates the
-            read prefix and resumes mid-transaction on success. *)
-    rolling_commit : bool;
-        (** Stream a committed prefix instead of the paper's lazy
-            block-at-once commit (Lemma 2): workers opportunistically advance
-            the scheduler's commit sweep as they loop, committed transactions
-            are flushed out of MVMemory into a committed-base table, and the
-            optional [on_commit] hook fires per transaction in preset order.
-            The final snapshot and outputs are guaranteed identical to the
-            lazy mode. Default [false]: paper-faithful behavior. *)
-    mv_nshards : int;
-        (** Hash shards in the MVMemory location index (default 64). Exposed
-            so bench can sweep the sharding factor. *)
-    targeted_validation : bool;
-        (** §7 future-work optimization (DESIGN.md §10): replace the paper's
-            whole-suffix revalidation with targeted revalidation — MVMemory
-            tracks per-location reader registries, value-equal republications
-            are pruned, and only the precisely invalidated readers are
-            re-validated (registry overflow degrades back to the paper's
-            suffix pullback, never to unsoundness). Default [false]:
-            paper-faithful behavior. Requires [use_estimates]. *)
-    delta_ops : bool;
-        (** Commutative delta entries for hotspot state (DESIGN.md §12):
-            [Txn.effects.delta] operations publish bounded add/sub deltas as
-            MVMemory entries validated by {e range} membership instead of
-            value equality, so concurrent increments of one hot location no
-            longer abort each other; committed deltas are folded into
-            materialized values at snapshot/commit time. Default [false]:
-            delta ops fall back to a read-modify-write through the
-            instrumented read/write pair, reproducing the paper's behavior
-            byte-identically. Composes with every other flag. *)
-    record_exec_ns : bool;
-        (** Record the wall-clock VM execution time of each transaction's
-            final (committed) incarnation in [result.exec_ns] — the vm-cost
-            experiment's per-txn histogram source. Default [false]: the hot
-            path takes no timestamps. *)
+        (** §7: when a read hits an ESTIMATE, capture the transaction's
+            continuation with an OCaml effect handler instead of discarding
+            the work; the next incarnation re-validates the read prefix and
+            resumes mid-transaction on success. *)
     cold_read_suspend : bool;
         (** Storage-layer use of the suspend/resume machinery (DESIGN.md
             §13): when the non-blocking storage [probe] reports a cold miss,
             the transaction suspends through an effect handler, the worker
-            completes the fetch, and the execution task is retried
-            immediately — re-validating the read prefix and resuming the
-            continuation, with the retried probe hitting the warmed cache.
-            [false] (the default) pays the fetch latency inline. No effect
-            unless [probe] is given. *)
-    static_specs : bool;
-        (** Static access specifications, estimate seeding (DESIGN.md §15):
-            seed MVMemory with ESTIMATE markers from each transaction's
-            {e exact} declared writes (specs whose write entries are all
-            [Access_spec.Exact]) before the first incarnation runs, so even
-            first executions wait on likely conflicts — the spec-driven
-            analogue of [prefill_estimates] (with which it conflicts).
-            Requires [specs] and [use_estimates]. Default [false]. *)
-    spec_dag : bool;
-        (** Dependency-DAG scheduling from static access specs (DESIGN.md
-            §15): instead of optimistic execution + validation, build a
-            dependency DAG from the supplied [specs] (transaction [j] waits
-            on every lower transaction whose declared writes may feed [j]'s
-            declared reads; transactions with non-exact specs act as
-            barriers) and execute each transaction exactly once in DAG
-            order. No validation tasks, no aborts, no re-execution.
-            Requires [specs]; incompatible with [static_specs],
-            [prefill_estimates], [rolling_commit], [targeted_validation],
-            [suspend_resume], [cold_read_suspend] and [delta_ops]. Default [false]. *)
+            completes the fetch, and the execution task is retried at once,
+            resuming the continuation after re-validating the read prefix.
+            [false] pays the fetch latency inline. No effect unless [probe]
+            is given. *)
+    commit : commit;
+    delta_ops : bool;
+        (** Commutative delta entries for hotspot state (DESIGN.md §12):
+            [Txn.effects.delta] publishes bounded add/sub deltas as MVMemory
+            entries validated by {e range} membership instead of value
+            equality, so concurrent increments of one hot location no longer
+            abort each other. [false] routes delta ops through the
+            instrumented read/write pair ({!Txn.rmw_delta}), reproducing the
+            paper's behavior byte-identically. *)
   }
 
+  (** Where tasks come from. *)
+  type sched =
+    | Optimistic of optimistic
+        (** The paper's collaborative scheduler: optimistic execution plus
+            validation. *)
+    | Spec_dag
+        (** Dependency-DAG scheduling from static access specs (DESIGN.md
+            §15): transaction [j] waits on every lower transaction whose
+            declared writes may feed [j]'s declared reads (transactions with
+            non-exact specs act as order barriers), and each transaction
+            executes exactly once in DAG order. No validation, no aborts, no
+            re-execution, so none of the optimistic options apply. Requires
+            [specs] at {!create_instance}. Commits the same state as the
+            optimistic engine. *)
+
+  type config = {
+    num_domains : int;  (** Worker domains (>= 1). *)
+    record_exec_ns : bool;
+        (** Record the wall-clock VM execution time of each transaction's
+            final (committed) incarnation in [result.exec_ns] — the vm-cost
+            experiment's per-txn histogram source. [false]: the hot path
+            takes no timestamps. *)
+    sched : sched;
+  }
+
+  val paper : optimistic
+  (** The paper's engine: ESTIMATE markers with suffix revalidation and no
+      seeding, read-set prevalidation on, lazy commit, every §7 extension
+      off. *)
+
   val default_config : config
-  (** One domain, estimates and read-set prevalidation on, prefill,
-      suspend/resume, rolling commit and targeted validation off. *)
+  (** One domain, no exec-time recording, [Optimistic paper]. *)
+
+  val is_rolling : config -> bool
+  (** Whether [config] commits a [Rolling] prefix (the [on_commit] /
+      [on_flush] hooks stream only then). *)
 
   type 'o result = {
     snapshot : (L.t * V.t) list;  (** Final value per affected location. *)
@@ -173,7 +200,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     metrics : metrics;
     commit_ns : int array;
         (** Per-transaction time-to-commit (ns since the instance was
-            created), in preset order. Empty unless [rolling_commit]. *)
+            created), in preset order. Empty unless commit is [Rolling]. *)
     exec_ns : int array;
         (** Per-transaction VM execution time (ns) of the committed
             incarnation, in preset order. Empty unless [record_exec_ns]. *)
@@ -186,7 +213,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val create_instance :
     ?config:config ->
-    ?declared_writes:L.t array array ->
     ?trace:Trace.t ->
     ?on_commit:(int -> 'o txn_output -> unit) ->
     ?on_flush:((L.t * V.t) array -> unit) ->
@@ -196,19 +222,18 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     storage:(L.t, V.t) Intf.storage ->
     'o txn array ->
     'o instance
-  (** [declared_writes] is required by [config.prefill_estimates] (one
-      location array per transaction). [trace] enables step-event tracing:
+  (** [trace] enables step-event tracing:
       every worker records into its own ring (the trace must have at least
       [config.num_domains] workers). [on_commit j output] streams each
       transaction's final output as it commits — called exactly once per
       transaction, in preset order (j = 0, 1, ...), from whichever domain
       advances the commit sweep, under the scheduler's commit mutex (keep it
-      cheap). Requires [config.rolling_commit]. [on_flush batch] streams the
+      cheap). Requires [Rolling] commit. [on_flush batch] streams the
       [(location, committed value)] pairs each committed-prefix flush folded
       into MVMemory's committed base — batches arrive in commit order, from
       inside the flush critical section (keep it cheap: enqueue, don't
-      process); requires [config.rolling_commit]. [probe] is the
-      non-blocking storage view backing [config.cold_read_suspend] (and,
+      process); requires [Rolling] commit. [probe] is the
+      non-blocking storage view backing [cold_read_suspend] (and,
       when given, replaces [storage] in the VM's fall-through reads —
       [storage] itself must agree with it, and still serves MVMemory's
       committed delta folds).
@@ -218,25 +243,25 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       independence skipping — transactions whose specs are all-[Exact] and
       provably disjoint from every other transaction's spec skip the
       validation read-set walk (counted in [metrics.spec_skips]) and, under
-      [targeted_validation], skip reader registration. They also feed
-      [config.static_specs] (estimate seeding) and [config.spec_dag]
+      [Targeted] revalidation, skip reader registration. They also feed
+      [seed_from_specs] (estimate seeding) and [Spec_dag]
       (dependency-DAG scheduling). A spec that under-declares an access is
       {b unsound} and voids the determinism guarantee. [loc_namespace]
       assigns each location the namespace string matched by
       [Access_spec.Wildcard] entries; when omitted, wildcards conservatively
       overlap every location.
-      @raise Invalid_argument on bad [config] / [declared_writes] / [specs] /
+      @raise Invalid_argument on bad [config] / [specs] /
       [trace] / [on_commit] / [on_flush] combinations. *)
 
   val sched : 'o instance -> Scheduler.t
   (** The collaborative scheduler driving this instance — exposed for the
-      virtual-time simulator and tests. In [spec_dag] mode the scheduler
+      virtual-time simulator and tests. Under [Spec_dag] the scheduler
       exists but is inert; drive the instance through {!next_task} /
       {!is_done} instead of the scheduler's own entry points. *)
 
   val next_task : 'o instance -> Scheduler.task option
   (** Fetch the next task from whichever source drives this instance: the
-      spec dependency DAG in [config.spec_dag] mode, the collaborative
+      spec dependency DAG under [Spec_dag], the collaborative
       scheduler otherwise. External drivers should call this (rather than
       {!Scheduler.next_task} on {!sched}) so they remain correct in every
       mode. [None] does not imply completion; poll {!is_done}. *)
@@ -253,14 +278,14 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       ["cold_reads"], ["commits"],
       ["targeted_validations"], ["suffix_validations_avoided"] and
       ["targeted_fallbacks"] (the targeted_* family populated at {!finalize},
-      non-zero only with [targeted_validation]); histograms ["exec_step_ns"]
+      non-zero only with [Targeted]); histograms ["exec_step_ns"]
       and ["validation_step_ns"] (populated only when tracing is enabled),
-      ["commit_latency_ns"] (per-transaction time-to-commit, rolling_commit
+      ["commit_latency_ns"] (per-transaction time-to-commit, [Rolling]
       only) and ["reader_registry_occupancy"] (per-location reader-registry
-      slot usage, targeted_validation only, populated at {!finalize}). *)
+      slot usage, [Targeted] only, populated at {!finalize}). *)
 
   val committed_prefix : 'o instance -> int
-  (** Length of the committed prefix so far (0 unless [rolling_commit]).
+  (** Length of the committed prefix so far (0 unless [Rolling]).
       Monotonically non-decreasing; reaches the block size by the time
       {!finalize} returns. *)
 
@@ -269,9 +294,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       sweep (if the commit mutex is free) and flush newly committed
       transactions out of MVMemory. Returns the number of transactions
       committed by this call. The engine's own {!worker_loop} calls this
-      every iteration when [rolling_commit] is set; external drivers (the
+      every iteration under [Rolling] commit; external drivers (the
       virtual-time simulator) may call it between {!step}s. No-op returning
-      0 unless [config.rolling_commit]. *)
+      0 unless commit is [Rolling]. *)
 
   (** What a single engine step did — consumed by the virtual-time simulator
       for cost accounting, and by tests. *)
@@ -330,7 +355,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val run :
     ?config:config ->
-    ?declared_writes:L.t array array ->
     ?specs:L.t Access_spec.t array ->
     ?loc_namespace:(L.t -> string) ->
     ?trace:Trace.t ->

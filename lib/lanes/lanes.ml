@@ -221,11 +221,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let lane_config (config : Bstm.config) ~lanes : Bstm.config =
     if lanes < 1 then invalid_arg "Lanes.lane_config: lanes must be >= 1";
-    {
-      config with
-      Bstm.num_domains = max 1 (config.Bstm.num_domains / lanes);
-      mv_nshards = max 1 (config.Bstm.mv_nshards / lanes);
-    }
+    { config with Bstm.num_domains = max 1 (config.Bstm.num_domains / lanes) }
 
   type 'o result = {
     snapshot : (L.t * V.t) list;
@@ -236,8 +232,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   let subset (arr : 'a array) (idxs : int array) : 'a array =
     Array.map (fun i -> arr.(i)) idxs
 
-  let run ?(config = Bstm.default_config) ?(mode = Park) ?declared_writes
-      ?loc_namespace ?on_commit ?on_flush ?obs ?trace_for
+  let run ?(config = Bstm.default_config) ?(mode = Park) ?loc_namespace
+      ?on_commit ?on_flush ?obs ?trace_for
       ~(partition : partition) ~(specs : L.t Access_spec.t array)
       ~(storage : (L.t, V.t) Intf.storage)
       (txns : (L.t, V.t, 'o) Txn.t array) : 'o result =
@@ -250,9 +246,9 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
       (* Strict passthrough: the unmodified paper engine, caller's config.
          The commit/flush hooks go to the engine when its rolling machinery
          can stream them, and fire block-at-once otherwise. *)
-      let rolling = config.Bstm.rolling_commit in
+      let rolling = Bstm.is_rolling config in
       let r =
-        Bstm.run ~config ?declared_writes ~specs ?loc_namespace
+        Bstm.run ~config ~specs ?loc_namespace
           ?trace:(trace_for 0)
           ?on_commit:(if rolling then on_commit else None)
           ?on_flush:(if rolling then on_flush else None)
@@ -316,10 +312,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
         let work k =
           let lane, idxs = jobs.(k) in
           let r =
-            Bstm.run ~config:lane_cfg
-              ?declared_writes:
-                (Option.map (fun dw -> subset dw idxs) declared_writes)
-              ~specs:(subset specs idxs) ?loc_namespace
+            Bstm.run ~config:lane_cfg ~specs:(subset specs idxs) ?loc_namespace
               ?trace:(trace_for lane) ~storage:read_overlay
               (subset txns idxs)
           in

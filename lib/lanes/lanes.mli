@@ -110,9 +110,8 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
 
   val lane_config : Bstm.config -> lanes:int -> Bstm.config
   (** Per-lane engine configuration: the caller's config with the domain
-      budget and MVMemory shard count divided across [lanes] (floored at
-      1). Lane-local MVMemory is additionally presized to each sub-block by
-      [create_instance] itself. *)
+      budget divided across [lanes] (floored at 1). Lane-local MVMemory is
+      presized to each sub-block by [create_instance] itself. *)
 
   type 'o result = {
     snapshot : (L.t * V.t) list;
@@ -125,7 +124,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   val run :
     ?config:Bstm.config ->
     ?mode:mode ->
-    ?declared_writes:L.t array array ->
     ?loc_namespace:(L.t -> string) ->
     ?on_commit:(int -> 'o Txn.output -> unit) ->
     ?on_flush:((L.t * V.t) array -> unit) ->
@@ -147,14 +145,13 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       similarly streams each batch's merged write-set (one binding per
       location, its end-of-batch value) when the batch completes — the
       chain's Merkle async-flush feed. With [lanes = 1] both hooks go
-      straight to the engine when [config.rolling_commit] can stream them
+      straight to the engine when [config] commits a [Rolling] prefix
       and fire block-at-once otherwise. [obs], when given,
       receives the lane counters (["cross_lane_txns"], ["lane_batches"],
       ["laneK_txns"]) — size its registry accordingly. [trace_for lane]
       supplies an optional per-lane trace sink reused across that lane's
-      batches, giving lane-tagged step events. [declared_writes] and
-      [loc_namespace] are forwarded to the per-lane instances (subset per
-      sub-block).
+      batches, giving lane-tagged step events. [loc_namespace] is forwarded
+      to the per-lane instances.
 
       @raise Invalid_argument if [specs] length mismatches the block, if
       [partition.lanes < 1], or if [loc_lane] leaves [\[0, lanes)]. *)

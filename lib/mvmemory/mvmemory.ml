@@ -135,7 +135,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
   }
 
   type t = {
-    nshards : int;
     shards : shard array;
     last_written : L.t array Atomic.t array;
     last_reads : read_set Atomic.t array;
@@ -162,10 +161,12 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
 
   let fresh_table capacity = Array.init capacity (fun _ -> Atomic.make None)
 
-  let create ?(nshards = 64) ?(writes_per_txn = 4) ?(targeted = false)
+  (* Hash shards in the location index, each with its own insert lock. *)
+  let nshards = 64
+
+  let create ?(writes_per_txn = 4) ?(targeted = false)
       ?(reader_slots = 64) ?(storage = fun _ -> None) ~block_size () =
     if block_size < 0 then invalid_arg "Mvmemory.create: negative block_size";
-    if nshards <= 0 then invalid_arg "Mvmemory.create: nshards must be > 0";
     if writes_per_txn < 0 then
       invalid_arg "Mvmemory.create: negative writes_per_txn";
     if reader_slots < 1 then
@@ -177,7 +178,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     let est_per_shard = block_size * writes_per_txn / nshards in
     let capacity = min 65536 (next_pow2 (max 16 (2 * est_per_shard))) in
     {
-      nshards;
       shards =
         Array.init nshards (fun _ ->
             {
@@ -196,7 +196,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
     }
 
   let block_size t = t.block_size
-  let nshards t = t.nshards
   let targeted t = t.targeted
 
   let hash_of loc = L.hash loc land max_int
@@ -210,7 +209,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
      published slots — zero mutex acquisitions. *)
   let find_slot t loc : slot option =
     let h = hash_of loc in
-    let shard = t.shards.(h mod t.nshards) in
+    let shard = t.shards.(h mod nshards) in
     let table = Atomic.get shard.table in
     let mask = Array.length table - 1 in
     let rec probe i =
@@ -249,7 +248,7 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) = struct
      resizing at load factor 1/2. *)
   let create_slot t loc : slot =
     let h = hash_of loc in
-    let shard = t.shards.(h mod t.nshards) in
+    let shard = t.shards.(h mod nshards) in
     Mutex.lock shard.insert_lock;
     let table = Atomic.get shard.table in
     let mask = Array.length table - 1 in

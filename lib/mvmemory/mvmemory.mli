@@ -68,7 +68,6 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
   (** Result of {!record_targeted}. *)
 
   val create :
-    ?nshards:int ->
     ?writes_per_txn:int ->
     ?targeted:bool ->
     ?reader_slots:int ->
@@ -76,10 +75,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
     block_size:int ->
     unit ->
     t
-  (** [nshards] (default 64) is the number of hash shards (each with its own
-      insert lock and atomically published table). [writes_per_txn] (default
-      4) is the estimated number of distinct locations each transaction
-      writes; shard tables are pre-sized from [block_size * writes_per_txn]
+  (** The location index has 64 hash shards, each with its own insert lock
+      and atomically published table. [writes_per_txn] (default 4) is the
+      estimated number of distinct locations each transaction writes; shard
+      tables are pre-sized from [block_size * writes_per_txn]
       so the common case never pays an insert-path resize.
 
       [targeted] (default [false]) enables targeted-revalidation support
@@ -97,12 +96,10 @@ module Make (L : Intf.LOCATION) (V : Intf.VALUE) : sig
       publish delta entries can omit it.
 
       @raise Invalid_argument on negative [block_size] or [writes_per_txn],
-      non-positive [nshards], or [reader_slots < 1]. *)
+      or [reader_slots < 1]. *)
 
   val block_size : t -> int
 
-  val nshards : t -> int
-  (** Number of hash shards this instance was created with. *)
 
   val targeted : t -> bool
   (** Whether this instance was created with [~targeted:true]. *)

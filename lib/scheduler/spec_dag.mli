@@ -2,7 +2,7 @@
     §15): schedules each transaction exactly once, after every transaction
     whose declared writes may feed its declared reads has finished — the
     BOHM-style alternative to optimistic re-execution, driven by the
-    engine's [config.spec_dag] mode. Thread-safe. *)
+    engine's [Spec_dag] scheduler. Thread-safe. *)
 
 type t
 

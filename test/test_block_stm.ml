@@ -6,30 +6,7 @@
 open Blockstm_kernel
 open Tutil
 
-let run ?config ?declared_writes ~storage txns =
-  Bstm.run ?config ?declared_writes ~storage txns
-
-let config ?(num_domains = 1) ?(use_estimates = true)
-    ?(prevalidate_reads = true) ?(prefill_estimates = false)
-    ?(suspend_resume = false) ?(rolling_commit = false) ?(mv_nshards = 64)
-    ?(targeted_validation = false) ?(delta_ops = false)
-    ?(record_exec_ns = false) ?(cold_read_suspend = false)
-    ?(static_specs = false) ?(spec_dag = false) () =
-  {
-    Bstm.num_domains;
-    use_estimates;
-    prevalidate_reads;
-    prefill_estimates;
-    suspend_resume;
-    rolling_commit;
-    mv_nshards;
-    targeted_validation;
-    delta_ops;
-    record_exec_ns;
-    cold_read_suspend;
-    static_specs;
-    spec_dag;
-  }
+let run ?config ~storage txns = Bstm.run ?config ~storage txns
 
 (* --- Basics -------------------------------------------------------------- *)
 
@@ -142,7 +119,7 @@ let test_chain_of_dependencies () =
       ignore
         (assert_equiv
            ~msg:(Printf.sprintf "chain with %d domains" d)
-           ~config:(config ~num_domains:d ())
+           ~config:(cfg ~num_domains:d Bstm.paper)
            ~storage:zero_storage txns))
     [ 1; 2; 4 ]
 
@@ -150,7 +127,7 @@ let test_hotspot_counter () =
   let n = 60 in
   let txns = Array.init n (fun _ -> incr_txn 0) in
   let r =
-    assert_equiv ~msg:"hotspot" ~config:(config ~num_domains:4 ())
+    assert_equiv ~msg:"hotspot" ~config:(cfg ~num_domains:4 Bstm.paper)
       ~storage:zero_storage txns
   in
   (* Final value must be exactly n. *)
@@ -168,7 +145,7 @@ let test_transfers_many_domains () =
       ignore
         (assert_equiv
            ~msg:(Printf.sprintf "transfers %d domains" d)
-           ~config:(config ~num_domains:d ())
+           ~config:(cfg ~num_domains:d Bstm.paper)
            ~storage:(range_storage ~base:1000 10) txns))
     [ 1; 2; 3; 4; 8 ]
 
@@ -184,7 +161,7 @@ let test_write_set_churn () =
           v)
   in
   ignore
-    (assert_equiv ~msg:"churn" ~config:(config ~num_domains:4 ())
+    (assert_equiv ~msg:"churn" ~config:(cfg ~num_domains:4 Bstm.paper)
        ~storage:zero_storage txns)
 
 (* --- Determinism --------------------------------------------------------- *)
@@ -197,10 +174,10 @@ let test_deterministic_across_domain_counts () =
         let b = Blockstm_workload.Rng.int rng 5 in
         rmw ~src:a ~dst:b (fun v -> (v * 31) + 7))
   in
-  let reference = run ~config:(config ()) ~storage:zero_storage txns in
+  let reference = run ~config:(cfg Bstm.paper) ~storage:zero_storage txns in
   List.iter
     (fun d ->
-      let r = run ~config:(config ~num_domains:d ()) ~storage:zero_storage
+      let r = run ~config:(cfg ~num_domains:d Bstm.paper) ~storage:zero_storage
           txns in
       Alcotest.(check bool)
         (Printf.sprintf "snapshot equal at %d domains" d)
@@ -224,40 +201,50 @@ let contended_txns n =
 let test_no_estimates_still_correct () =
   ignore
     (assert_equiv ~msg:"use_estimates=false"
-       ~config:(config ~num_domains:4 ~use_estimates:false ())
+       ~config:
+         (cfg ~num_domains:4 { Bstm.paper with estimates = Remove_on_abort })
        ~storage:zero_storage (contended_txns 120))
 
 let test_no_prevalidation_still_correct () =
   ignore
     (assert_equiv ~msg:"prevalidate_reads=false"
-       ~config:(config ~num_domains:4 ~prevalidate_reads:false ())
+       ~config:
+         (cfg ~num_domains:4 { Bstm.paper with prevalidate_reads = false })
        ~storage:zero_storage (contended_txns 120))
 
+(* §7 write-set pre-estimation: ESTIMATE markers seeded from each
+   transaction's exact write spec. The read specs are [Unknown], so no
+   transaction is provably independent and the seeded markers, not
+   independence skips, carry the run. *)
 let test_prefill_estimates_correct () =
   let n = 80 in
   let rng = Blockstm_workload.Rng.create 23 in
   let targets = Array.init n (fun _ -> Blockstm_workload.Rng.int rng 4) in
   let txns = Array.map (fun t -> incr_txn t) targets in
-  let declared_writes = Array.map (fun t -> [| t |]) targets in
-  ignore
-    (assert_equiv ~msg:"prefill_estimates"
-       ~config:(config ~num_domains:4 ~prefill_estimates:true ())
-       ~declared_writes ~storage:zero_storage txns)
-
-let test_prefill_requires_declared_writes () =
-  Alcotest.check_raises "missing declared_writes"
-    (Invalid_argument "Block_stm: prefill_estimates needs declared_writes")
-    (fun () ->
-      ignore
-        (run
-           ~config:(config ~prefill_estimates:true ())
-           ~storage:zero_storage
-           [| incr_txn 0 |]))
+  let specs =
+    Array.map
+      (fun t ->
+        { Access_spec.reads = [ Unknown ]; writes = [ Access_spec.Exact t ] })
+      targets
+  in
+  let r =
+    assert_equiv ~msg:"seed_from_specs"
+      ~config:
+        (cfg ~num_domains:4
+           {
+             Bstm.paper with
+             estimates =
+               Estimates { revalidate = Suffix; seed_from_specs = true };
+           })
+      ~specs ~storage:zero_storage txns
+  in
+  Alcotest.(check int) "no independence skips" 0 r.metrics.spec_skips
 
 let test_targeted_still_correct () =
   let r =
     assert_equiv ~msg:"targeted_validation"
-      ~config:(config ~num_domains:4 ~targeted_validation:true ())
+      ~config:
+        (cfg ~num_domains:4 { Bstm.paper with estimates = targeted_estimates })
       ~storage:zero_storage (contended_txns 120)
   in
   (* The targeted counters must be coherent: every targeted claim that
@@ -269,21 +256,12 @@ let test_targeted_still_correct () =
     "targeted >= 0" true
     (r.metrics.targeted_validations >= 0)
 
-let test_targeted_requires_estimates () =
-  Alcotest.check_raises "rejected"
-    (Invalid_argument "Block_stm: targeted_validation requires use_estimates")
-    (fun () ->
-      ignore
-        (run
-           ~config:
-             (config ~use_estimates:false ~targeted_validation:true ())
-           ~storage:zero_storage [| incr_txn 0 |]))
-
 let test_invalid_num_domains () =
   Alcotest.check_raises "zero domains"
     (Invalid_argument "Block_stm: num_domains must be >= 1") (fun () ->
       ignore
-        (run ~config:(config ~num_domains:0 ()) ~storage:zero_storage [||]))
+        (run ~config:(cfg ~num_domains:0 Bstm.paper) ~storage:zero_storage
+           [||]))
 
 (* --- Rolling commit ------------------------------------------------------- *)
 
@@ -294,7 +272,7 @@ let test_rolling_equals_sequential () =
       ignore
         (assert_equiv
            ~msg:(Printf.sprintf "rolling, %d domains" nd)
-           ~config:(config ~num_domains:nd ~rolling_commit:true ())
+           ~config:(cfg ~num_domains:nd { Bstm.paper with commit = Rolling })
            ~storage:zero_storage txns))
     [ 1; 2; 4 ]
 
@@ -305,7 +283,7 @@ let test_on_commit_streams_in_preset_order () =
   let streamed = Array.make n None in
   let r =
     Bstm.run
-      ~config:(config ~num_domains:4 ~rolling_commit:true ())
+      ~config:(cfg ~num_domains:4 { Bstm.paper with commit = Rolling })
       ~on_commit:(fun j o ->
         order := j :: !order;
         streamed.(j) <- Some o)
@@ -330,16 +308,16 @@ let test_on_commit_streams_in_preset_order () =
 
 let test_on_commit_requires_rolling () =
   Alcotest.check_raises "rejected"
-    (Invalid_argument "Block_stm: on_commit requires rolling_commit")
+    (Invalid_argument "Block_stm: on_commit requires Rolling commit")
     (fun () ->
       ignore
-        (Bstm.run ~config:(config ()) ~on_commit:(fun _ _ -> ())
+        (Bstm.run ~config:(cfg Bstm.paper) ~on_commit:(fun _ _ -> ())
            ~storage:zero_storage [| incr_txn 0 |]))
 
 let test_rolling_empty_block () =
   let r =
     Bstm.run
-      ~config:(config ~rolling_commit:true ())
+      ~config:(cfg { Bstm.paper with commit = Rolling })
       ~on_commit:(fun _ _ -> Alcotest.fail "hook on empty block")
       ~storage:zero_storage [||]
   in
@@ -368,7 +346,7 @@ let drive_preval_scenario ~prevalidate =
   in
   let inst =
     Bstm.create_instance
-      ~config:(config ~prevalidate_reads:prevalidate ())
+      ~config:(cfg { Bstm.paper with prevalidate_reads = prevalidate })
       ~storage:zero_storage txns
   in
   let sched = Bstm.sched inst in
@@ -473,7 +451,9 @@ let test_prevalidation_skip_disabled () =
 let test_metrics_lower_bounds () =
   let n = 50 in
   let txns = Array.init n (fun i -> incr_txn (i mod 5)) in
-  let r = run ~config:(config ~num_domains:4 ()) ~storage:zero_storage txns in
+  let r =
+    run ~config:(cfg ~num_domains:4 Bstm.paper) ~storage:zero_storage txns
+  in
   Alcotest.(check bool) "incarnations >= n" true (r.metrics.incarnations >= n);
   Alcotest.(check bool) "validations >= n" true (r.metrics.validations >= n);
   Alcotest.(check bool) "aborts < incarnations" true
@@ -483,7 +463,7 @@ let test_engine_quiescent_after_run () =
   let txns = contended_txns 100 in
   let inst =
     Bstm.create_instance
-      ~config:(config ~num_domains:3 ())
+      ~config:(cfg ~num_domains:3 Bstm.paper)
       ~storage:zero_storage txns
   in
   let workers =
@@ -511,7 +491,9 @@ let test_snapshot_matches_profile_writes () =
      observed by a sequential profiling pass. *)
   let txns = contended_txns 60 in
   let profiles = ProfI.run ~storage:zero_storage txns in
-  let r = run ~config:(config ~num_domains:2 ()) ~storage:zero_storage txns in
+  let r =
+    run ~config:(cfg ~num_domains:2 Bstm.paper) ~storage:zero_storage txns
+  in
   let total_writes =
     Array.fold_left (fun acc (p : ProfI.txn_profile) -> acc + p.writes) 0
       profiles
@@ -550,12 +532,8 @@ let suite =
       test_no_prevalidation_still_correct;
     Alcotest.test_case "ablation: prefilled estimates" `Quick
       test_prefill_estimates_correct;
-    Alcotest.test_case "prefill requires declared writes" `Quick
-      test_prefill_requires_declared_writes;
     Alcotest.test_case "targeted revalidation = sequential" `Quick
       test_targeted_still_correct;
-    Alcotest.test_case "targeted requires estimates" `Quick
-      test_targeted_requires_estimates;
     Alcotest.test_case "invalid num_domains rejected" `Quick
       test_invalid_num_domains;
     Alcotest.test_case "rolling commit = sequential" `Quick

@@ -52,7 +52,8 @@ let test_suspend_resume_replica_agrees () =
          {
            Chain.Bstm.default_config with
            num_domains = 4;
-           suspend_resume = true;
+           sched =
+             Optimistic { Chain.Bstm.paper with suspend_resume = true };
          })
       4
   in
@@ -67,7 +68,7 @@ let test_rolling_replica_agrees () =
          {
            Chain.Bstm.default_config with
            num_domains = 4;
-           rolling_commit = true;
+           sched = Optimistic { Chain.Bstm.paper with commit = Rolling };
          })
       4
   in
@@ -105,7 +106,7 @@ let test_pipelined_roots_identical () =
          {
            Chain.Bstm.default_config with
            num_domains = 4;
-           rolling_commit = true;
+           sched = Optimistic { Chain.Bstm.paper with commit = Rolling };
          })
   in
   Alcotest.(check (option int)) "pipelined sequential executor" None

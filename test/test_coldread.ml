@@ -85,8 +85,7 @@ let test_suspend_fires () =
     {
       Bstm.default_config with
       num_domains = 1;
-      cold_read_suspend = true;
-      suspend_resume = false;
+      sched = Optimistic { Bstm.paper with cold_read_suspend = true };
     }
   in
   let r, c = run_cold ~config txns in
@@ -104,7 +103,11 @@ let test_suspend_fires () =
 let test_inline_when_disabled () =
   let txns = block () in
   let config =
-    { Bstm.default_config with num_domains = 1; cold_read_suspend = false }
+    {
+      Bstm.default_config with
+      num_domains = 1;
+      sched = Optimistic { Bstm.paper with cold_read_suspend = false };
+    }
   in
   let r, c = run_cold ~config txns in
   check_vs_sequential "suspend off" r txns;
@@ -118,8 +121,9 @@ let test_multi_domain () =
     {
       Bstm.default_config with
       num_domains = 4;
-      cold_read_suspend = true;
-      suspend_resume = true;
+      sched =
+        Optimistic
+          { Bstm.paper with cold_read_suspend = true; suspend_resume = true };
     }
   in
   let r, _ = run_cold ~config txns in

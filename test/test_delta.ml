@@ -166,16 +166,6 @@ let test_mv_flush_fold () =
 
 (* --- Engine: delta_ops on/off, differential against sequential ------------ *)
 
-let config ?(num_domains = 1) ?(delta_ops = false) ?(rolling_commit = false)
-    ?(targeted_validation = false) () =
-  {
-    Bstm.default_config with
-    num_domains;
-    delta_ops;
-    rolling_commit;
-    targeted_validation;
-  }
-
 (* A pure aggregator transaction: positive amounts add, negative subtract;
    the output encodes the observed outcome (1 applied, 0 bounds violation,
    -1 not-a-counter), so output equality across engine modes pins the
@@ -221,7 +211,12 @@ let test_engine_delta_equiv () =
                      (Printf.sprintf "domains=%d deltas=%b rolling=%b"
                         num_domains delta_ops rolling_commit)
                    ~config:
-                     (config ~num_domains ~delta_ops ~rolling_commit ())
+                     (cfg ~num_domains
+                        {
+                          Bstm.paper with
+                          delta_ops;
+                          commit = (if rolling_commit then Rolling else Lazy);
+                        })
                    ~storage:zero_storage txns))
             [ false; true ])
         [ false; true ])
@@ -238,7 +233,7 @@ let test_bounds_violation_fallback () =
       let r =
         assert_equiv
           ~msg:(Printf.sprintf "bounds violation (deltas=%b)" delta_ops)
-          ~config:(config ~num_domains:2 ~delta_ops ())
+          ~config:(cfg ~num_domains:2 { Bstm.paper with delta_ops })
           ~storage:zero_storage txns
       in
       Alcotest.(check (array bool))
@@ -264,7 +259,10 @@ let test_not_a_counter_outcome () =
   in
   List.iter
     (fun delta_ops ->
-      let config = { H.Bstm.default_config with delta_ops } in
+      let config = {
+                     H.Bstm.default_config with
+                     sched = Optimistic { H.Bstm.paper with delta_ops };
+                   } in
       let r = H.run_blockstm ~config ~storage [| txn; txn |] in
       Array.iter
         (function
@@ -314,9 +312,20 @@ let test_hotspot_differential () =
                     {
                       H.Bstm.default_config with
                       num_domains = domains;
-                      rolling_commit = rolling;
-                      delta_ops = deltas;
-                      targeted_validation = targeted;
+                      sched =
+                        Optimistic
+                          {
+                            H.Bstm.paper with
+                            commit = (if rolling then Rolling else Lazy);
+                            delta_ops = deltas;
+                            estimates =
+                              Estimates
+                                {
+                                  revalidate =
+                                    (if targeted then Targeted else Suffix);
+                                  seed_from_specs = false;
+                                };
+                          };
                     }
                   in
                   let r =
@@ -510,7 +519,11 @@ let test_minimove_vault_block () =
             Printf.sprintf "%s deltas=%b" (R.vm_name vm) delta_ops
           in
           let config =
-            { R.Bstm.default_config with num_domains = 4; delta_ops }
+            {
+              R.Bstm.default_config with
+              num_domains = 4;
+              sched = Optimistic { R.Bstm.paper with delta_ops };
+            }
           in
           let r = R.Bstm.run ~config ~storage:(storage ()) txns in
           Alcotest.(check bool)

@@ -97,7 +97,11 @@ let test_identity_deltas () =
       List.iter
         (fun delta_ops ->
           let config =
-            { Bstm.default_config with num_domains = 4; delta_ops }
+            {
+              Bstm.default_config with
+              num_domains = 4;
+              sched = Optimistic { Bstm.paper with delta_ops };
+            }
           in
           let r =
             Harness.run_lanes ~config ~partition ~specs

@@ -186,7 +186,13 @@ let run_chain ?(store = `Flat) ?async_flush executor =
 let sorted_state c = List.sort compare (Chain.Store.to_alist (Chain.state c))
 
 let bstm_config ~domains ~rolling =
-  { Bstm.default_config with num_domains = domains; rolling_commit = rolling }
+  {
+    Bstm.default_config with
+    num_domains = domains;
+    sched =
+      Optimistic
+        { Bstm.paper with commit = (if rolling then Rolling else Lazy) };
+  }
 
 (* Every substrate × executor × domain-count combination agrees with the
    sequential flat reference on final state and per-block delta roots; the

@@ -462,8 +462,12 @@ let test_amm_block_parallel () =
   let par =
     Runtime.Bstm.run
       ~config:
-        { Runtime.Bstm.default_config with num_domains = 4;
-          suspend_resume = true }
+        {
+          Runtime.Bstm.default_config with
+          num_domains = 4;
+          sched =
+            Optimistic { Runtime.Bstm.paper with suspend_resume = true };
+        }
       ~storage:(Runtime.Store.reader store) txns
   in
   Alcotest.(check bool) "snapshots equal" true

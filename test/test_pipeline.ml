@@ -103,8 +103,9 @@ let grid_sweep ~deltas () =
               {
                 CBstm.default_config with
                 num_domains = domains;
-                rolling_commit = true;
-                delta_ops = deltas;
+                sched =
+                  Optimistic
+                    { CBstm.paper with commit = Rolling; delta_ops = deltas };
               }
           in
           List.iter
@@ -146,7 +147,11 @@ let test_merkle_async_flush_pipelined () =
   let refc = reference ~store:`Merkle ~genesis ~blocks () in
   let executor =
     Chain.Block_stm
-      { CBstm.default_config with num_domains = 4; rolling_commit = true }
+      {
+        CBstm.default_config with
+        num_domains = 4;
+        sched = Optimistic { CBstm.paper with commit = Rolling };
+      }
   in
   let chain =
     Chain.create ~executor ~store:`Merkle ~async_flush:true ~genesis ()
@@ -181,7 +186,7 @@ let test_mempool_driven_pipelined () =
       {
         CBstm.default_config with
         num_domains = 4;
-        rolling_commit = true;
+        sched = Optimistic { CBstm.paper with commit = Rolling };
       }
   in
   let chain = Chain.create ~executor ~genesis () in

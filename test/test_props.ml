@@ -91,20 +91,20 @@ let prop_blockstm_ablations_equal_sequential =
       let txns = Array.of_list (List.map txn_of_prog block) in
       let seq = Seq.run ~storage:zero_storage txns in
       List.for_all
-        (fun (use_estimates, prevalidate_reads) ->
+        (fun (estimates, prevalidate_reads) ->
           let par =
             Bstm.run
               ~config:
-                {
-                  Bstm.default_config with
-                  num_domains = 3;
-                  use_estimates;
-                  prevalidate_reads;
-                }
+                (cfg ~num_domains:3
+                   { Bstm.paper with estimates; prevalidate_reads })
               ~storage:zero_storage txns
           in
           equal_results seq par)
-        [ (false, true); (true, false); (false, false) ])
+        [
+          (Bstm.Remove_on_abort, true);
+          (Bstm.paper.estimates, false);
+          (Bstm.Remove_on_abort, false);
+        ])
 
 let prop_suspend_resume_equals_sequential =
   QCheck2.Test.make
@@ -115,7 +115,11 @@ let prop_suspend_resume_equals_sequential =
       let par =
         Bstm.run
           ~config:
-            { Bstm.default_config with num_domains = 3; suspend_resume = true }
+            {
+              Bstm.default_config with
+              num_domains = 3;
+              sched = Optimistic { Bstm.paper with suspend_resume = true };
+            }
           ~storage:zero_storage txns
       in
       equal_results seq par)
@@ -403,6 +407,129 @@ let prop_rng_zipf_in_bounds =
       let v = Blockstm_workload.Rng.zipf rng ~n ~theta in
       v >= 0 && v < n)
 
+(* --- Every engine config --------------------------------------------------- *)
+
+(* Any value of [Block_stm.config] is a valid engine: the type leaves no
+   combination to reject at run time. Each generated config runs a contended
+   p2p block (plain transfers, or delta payments into two hot accounts) and
+   must reproduce the sequential snapshot and outputs. Specs go with every
+   config that uses them; cold reads run over a latency-free cold store so
+   the suspend-on-cold path fires on every first touch. *)
+module H = Blockstm_workload.Harness
+module Ledger = Blockstm_workload.Ledger
+
+let config_gen : H.Bstm.config QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let estimates =
+    oneof
+      [
+        pure H.Bstm.Remove_on_abort;
+        map2
+          (fun targeted seed_from_specs ->
+            H.Bstm.Estimates
+              {
+                revalidate = (if targeted then Targeted else Suffix);
+                seed_from_specs;
+              })
+          bool bool;
+      ]
+  in
+  let optimistic =
+    let* estimates = estimates in
+    let* prevalidate_reads = bool in
+    let* suspend_resume = bool in
+    let* cold_read_suspend = bool in
+    let* commit = oneofl [ H.Bstm.Lazy; Rolling ] in
+    let+ delta_ops = bool in
+    H.Bstm.Optimistic
+      {
+        estimates;
+        prevalidate_reads;
+        suspend_resume;
+        cold_read_suspend;
+        commit;
+        delta_ops;
+      }
+  in
+  let* num_domains = int_range 1 4 in
+  let* record_exec_ns = bool in
+  let+ sched = frequency [ (1, pure H.Bstm.Spec_dag); (5, optimistic) ] in
+  { H.Bstm.num_domains; record_exec_ns; sched }
+
+let print_config ((c : H.Bstm.config), hotspot) =
+  let sched =
+    match c.sched with
+    | Spec_dag -> "Spec_dag"
+    | Optimistic o ->
+        Fmt.str
+          "Optimistic { estimates = %s; prevalidate_reads = %b; \
+           suspend_resume = %b; cold_read_suspend = %b; commit = %s; \
+           delta_ops = %b }"
+          (match o.estimates with
+          | Remove_on_abort -> "Remove_on_abort"
+          | Estimates { revalidate; seed_from_specs } ->
+              Fmt.str "Estimates { revalidate = %s; seed_from_specs = %b }"
+                (match revalidate with
+                | Suffix -> "Suffix"
+                | Targeted -> "Targeted")
+                seed_from_specs)
+          o.prevalidate_reads o.suspend_resume o.cold_read_suspend
+          (match o.commit with Lazy -> "Lazy" | Rolling -> "Rolling")
+          o.delta_ops
+  in
+  Fmt.str "{ num_domains = %d; record_exec_ns = %b; sched = %s } on %s"
+    c.num_domains c.record_exec_ns sched
+    (if hotspot then "p2p-hotspot" else "p2p")
+
+let prop_any_config_equals_sequential =
+  let module P2p = Blockstm_workload.P2p in
+  let plain =
+    P2p.generate
+      { P2p.default_spec with num_accounts = 8; block_size = 60; seed = 5 }
+  in
+  let hot =
+    P2p.generate_hotspot
+      {
+        P2p.default_hotspot_spec with
+        h_num_accounts = 20;
+        h_block_size = 60;
+        h_seed = 5;
+      }
+  in
+  let blocks =
+    [|
+      (plain.storage, plain.txns, P2p.txn_specs plain);
+      (hot.h_storage, hot.h_txns, P2p.hotspot_txn_specs hot);
+    |]
+  in
+  let refs =
+    Array.map (fun (storage, txns, _) -> H.run_sequential ~storage txns) blocks
+  in
+  QCheck2.Test.make ~name:"any engine config = sequential (contended p2p)"
+    ~count:200 ~print:print_config
+    QCheck2.Gen.(pair config_gen bool)
+    (fun ((config : H.Bstm.config), hotspot) ->
+      let i = if hotspot then 1 else 0 in
+      let storage, txns, specs = blocks.(i) in
+      let specs, cold =
+        match config.sched with
+        | Spec_dag -> (Some specs, false)
+        | Optimistic o ->
+            ( (match o.estimates with
+              | Estimates { seed_from_specs = true; _ } -> Some specs
+              | _ -> None),
+              o.cold_read_suspend )
+      in
+      let r =
+        if cold then
+          let c = H.ColdX.create ~backing:(Ledger.Store.reader storage) () in
+          H.Bstm.run ~config ?specs ~loc_namespace:Ledger.Loc.namespace
+            ~probe:(H.ColdX.probe c) ~storage:(H.ColdX.reader c) txns
+        else H.run_blockstm ~config ?specs ~storage txns
+      in
+      H.equal_snapshot refs.(i).snapshot r.snapshot
+      && H.equal_outputs refs.(i).outputs r.outputs)
+
 let suite =
   List.map Tutil.qcheck_to_alcotest
     [
@@ -416,4 +543,5 @@ let suite =
       prop_parser_roundtrip;
       prop_rng_int_in_bounds;
       prop_rng_zipf_in_bounds;
+      prop_any_config_equals_sequential;
     ]

@@ -113,12 +113,13 @@ let check_run ?(targeted = false) ~seed ~domains ~rolling () =
   let txns = Array.map txn_of_plan block in
   let seq = Seq.run ~storage:zero_storage txns in
   let config =
-    {
-      Bstm.default_config with
-      num_domains = domains;
-      rolling_commit = rolling;
-      targeted_validation = targeted;
-    }
+    cfg ~num_domains:domains
+      {
+        Bstm.paper with
+        commit = (if rolling then Rolling else Lazy);
+        estimates =
+          (if targeted then targeted_estimates else Bstm.paper.estimates);
+      }
   in
   let inst, par = run_keeping_instance ~config txns in
   let ctx =
@@ -175,12 +176,14 @@ let test_counter_chain () =
           List.iter
             (fun targeted ->
               let config =
-                {
-                  Bstm.default_config with
-                  num_domains = domains;
-                  rolling_commit = rolling;
-                  targeted_validation = targeted;
-                }
+                cfg ~num_domains:domains
+                  {
+                    Bstm.paper with
+                    commit = (if rolling then Rolling else Lazy);
+                    estimates =
+                      (if targeted then targeted_estimates
+                       else Bstm.paper.estimates);
+                  }
               in
               let _, par = run_keeping_instance ~config txns in
               Alcotest.(check (list (pair int int)))
@@ -214,8 +217,18 @@ let test_contended_rolling () =
             {
               H.Bstm.default_config with
               num_domains = domains;
-              rolling_commit = true;
-              targeted_validation = targeted;
+              sched =
+                Optimistic
+                  {
+                    H.Bstm.paper with
+                    commit = Rolling;
+                    estimates =
+                      Estimates
+                        {
+                          revalidate = (if targeted then Targeted else Suffix);
+                          seed_from_specs = false;
+                        };
+                  };
             }
           in
           for run = 1 to contended_runs do

@@ -6,9 +6,6 @@
 
 open Tutil
 
-let domains_cfg ?(suspend_resume = false) n =
-  { Bstm.default_config with num_domains = n; suspend_resume }
-
 (* Repeated real-domain runs on a contended block: every repetition must
    terminate and agree with the sequential result. *)
 let test_repeated_contended_runs () =
@@ -21,7 +18,10 @@ let test_repeated_contended_runs () =
   in
   let seq = Seq.run ~storage:zero_storage txns in
   for rep = 1 to 10 do
-    let par = Bstm.run ~config:(domains_cfg 4) ~storage:zero_storage txns in
+    let par =
+      Bstm.run ~config:(cfg ~num_domains:4 Bstm.paper) ~storage:zero_storage
+        txns
+    in
     Alcotest.(check bool)
       (Printf.sprintf "rep %d snapshot" rep)
       true
@@ -50,7 +50,9 @@ let test_long_chain_many_domains () =
   let txns =
     Array.init n (fun i -> rmw ~src:i ~dst:(i + 1) (fun v -> v + 1))
   in
-  let par = Bstm.run ~config:(domains_cfg 8) ~storage:zero_storage txns in
+  let par =
+    Bstm.run ~config:(cfg ~num_domains:8 Bstm.paper) ~storage:zero_storage txns
+  in
   (* Location n holds the chain's length. *)
   match List.assoc_opt n par.snapshot with
   | Some v -> Alcotest.(check int) "chain propagated" n v
@@ -64,7 +66,7 @@ let test_hotspot_suspend_many_domains () =
   for _ = 1 to 5 do
     let par =
       Bstm.run
-        ~config:(domains_cfg ~suspend_resume:true 6)
+        ~config:(cfg ~num_domains:6 { Bstm.paper with suspend_resume = true })
         ~storage:zero_storage txns
     in
     Alcotest.(check (list (pair int int))) "exact count" [ (0, n) ]
@@ -85,7 +87,8 @@ let test_failure_storm () =
           v)
   in
   ignore
-    (assert_equiv ~msg:"failure storm" ~config:(domains_cfg 4)
+    (assert_equiv ~msg:"failure storm"
+       ~config:(cfg ~num_domains:4 Bstm.paper)
        ~storage:zero_storage txns)
 
 (* Engine quiescence after heavy contention: zero active tasks, every status
@@ -98,7 +101,9 @@ let test_quiescence_under_stress () =
         incr_txn a)
   in
   let inst =
-    Bstm.create_instance ~config:(domains_cfg 5) ~storage:zero_storage txns
+    Bstm.create_instance
+      ~config:(cfg ~num_domains:5 Bstm.paper)
+      ~storage:zero_storage txns
   in
   let workers =
     Array.init 4 (fun _ -> Domain.spawn (fun () -> Bstm.worker_loop inst))
@@ -132,7 +137,7 @@ let test_rolling_commit_stress () =
   let seq = Seq.run ~storage:zero_storage txns in
   for rep = 1 to 3 do
     let order = ref [] in
-    let config = { (domains_cfg 4) with rolling_commit = true } in
+    let config = cfg ~num_domains:4 { Bstm.paper with commit = Rolling } in
     let inst =
       Bstm.create_instance ~config
         ~on_commit:(fun j _ -> order := j :: !order)

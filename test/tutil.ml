@@ -68,11 +68,20 @@ let transfer ~from_ ~to_ ~amount : itxn =
   e.write to_ (b2 + amount);
   b1 - amount
 
+(** An engine config on [num_domains] domains (default 1) running the
+    optimistic scheduler with options [o]. *)
+let cfg ?(num_domains = 1) (o : Bstm.optimistic) : Bstm.config =
+  { Bstm.default_config with num_domains; sched = Optimistic o }
+
+(** ESTIMATE markers with targeted revalidation and no seeding. *)
+let targeted_estimates =
+  Bstm.Estimates { revalidate = Targeted; seed_from_specs = false }
+
 (** Snapshot and output equality between Block-STM and Sequential. *)
-let assert_equiv ?(msg = "parallel = sequential") ?config ?declared_writes
-    ~storage (txns : itxn array) =
+let assert_equiv ?(msg = "parallel = sequential") ?config ?specs ~storage
+    (txns : itxn array) =
   let seq = Seq.run ~storage txns in
-  let par = Bstm.run ?config ?declared_writes ~storage txns in
+  let par = Bstm.run ?config ?specs ~storage txns in
   Alcotest.(check int)
     (msg ^ " (snapshot size)")
     (List.length seq.snapshot) (List.length par.snapshot);

@@ -19,9 +19,11 @@
 #   - the compiled MiniMove VM must stay >= 2x the tree-walk interpreter on
 #     the p2p standard workload at 1 domain (vm-cost smoke; the pure-VM
 #     replay row, which is immune to single-core scheduling noise);
-#   - with config.delta_ops off (the default) the engine is byte-for-byte
-#     the paper's: fig3-fig6 virtual-time tables must match the golden
-#     captures in tools/golden/ exactly;
+#   - with delta_ops off (the default) the engine is byte-for-byte the
+#     paper's: fig3-fig6 virtual-time tables must match the golden captures
+#     in tools/golden/ exactly, and so must the ablations and spec-cost
+#     tables (every engine variant, including spec-seeded ESTIMATEs and the
+#     spec DAG);
 #   - commutative deltas (DESIGN.md §12) must beat paper read-modify-write
 #     by >= 2x on the 2-hot-account / 8-thread hotspot-delta row (virtual
 #     time, so deterministic and enforced on any host);
@@ -172,20 +174,23 @@ if [ "$vm_comp" -lt $((2 * vm_tree)) ]; then
 fi
 echo "ci: vm-cost gate passed (compiled $vm_comp tps >= 2x tree-walk $vm_tree tps)"
 
-# --- Deltas-off byte-identity gate ------------------------------------------
-# config.delta_ops is strictly opt-in: with it off (the default, which is
-# what the figure experiments use) the engine must remain byte-for-byte the
-# paper's. The quick grids are virtual-time and fully deterministic, so the
-# regenerated tables must match the golden captures exactly.
-for fig in fig3 fig4 fig5 fig6; do
+# --- Byte-identity gate -----------------------------------------------------
+# delta_ops is strictly opt-in: with it off (the default, which is what the
+# figure experiments use) the engine must remain byte-for-byte the paper's.
+# The ablations and spec-cost tables pin every other engine variant the
+# same way (remove-on-abort, no prevalidation, spec-seeded ESTIMATEs,
+# suspend-resume, spec DAG). The quick grids are virtual-time and fully
+# deterministic, so the regenerated tables must match the golden captures
+# exactly.
+for fig in fig3 fig4 fig5 fig6 ablations spec-cost; do
   out=$(dune exec bench/main.exe -- "$fig")
   if ! printf '%s\n' "$out" | diff "tools/golden/$fig.txt" - >/dev/null; then
     printf '%s\n' "$out" | diff "tools/golden/$fig.txt" - | head -20 || true
-    echo "ci: FAIL — $fig output differs from tools/golden/$fig.txt (deltas-off must stay byte-identical to the paper engine)"
+    echo "ci: FAIL — $fig output differs from tools/golden/$fig.txt (virtual-time tables must stay byte-identical)"
     exit 1
   fi
 done
-echo "ci: deltas-off byte-identity gate passed (fig3-fig6 match tools/golden/)"
+echo "ci: byte-identity gate passed (fig3-fig6, ablations, spec-cost match tools/golden/)"
 
 # --- Hotspot-delta smoke ----------------------------------------------------
 # Commutative delta entries (DESIGN.md §12) exist to kill the fig5 cliff:
